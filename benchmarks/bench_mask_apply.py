@@ -1,24 +1,24 @@
-"""Mask application at answer scale: compiled kernels vs interpreted.
+"""Mask application at answer scale: the columnar kernel vs interpreted.
 
-The acceptance bar for the compiled-mask subsystem (PR 4): on a wide
-mask (>= 50 rows mixing constants, repeated variables, COMPARISON
-intervals and unconditional rows) applied to a large answer (>= 10k
-rows), ``compile_mask(mask).apply`` must be at least 5x faster than the
-interpreted ``Mask.apply`` — while producing byte-identical output.
+The acceptance bar for compiled masks: on a wide mask (>= 50 rows
+mixing constants, repeated variables, COMPARISON intervals and
+unconditional rows) applied to a large answer (>= 10k rows), the
+columnar kernel (``apply_mask_columnar`` over ``compile_mask(mask)``)
+must be at least 5x faster than the interpreted ``Mask.apply`` — while
+producing byte-identical output.
 
-The run also times the streaming pruned meta-product against
-materialize-then-prune on a join-heavy generated workload, and writes
-every number to ``BENCH_PR4.json`` at the repository root so the
-claimed speedups are machine-checkable alongside the committed copy.
+The run also times the streamed pruned meta-product against
+materialize-then-prune (``derive_mask(..., materialize=True)``) on a
+join-heavy generated workload.  Every number is written to the
+gitignored ``.bench_out/bench_mask_apply.json``; the committed
+``BENCH_PR4.json`` and ``BENCH_PR9.json`` are the historical record of
+earlier kernels.
 
-PR 9 adds the columnar data plane's bars, written to ``BENCH_PR9.json``:
-
-* at 10^6 rows, ``apply_mask_columnar`` (pure Python, numpy off) must
-  beat the PR 4 row kernel by >= 4x rows/sec, byte-identically;
-* at 10^7 rows (``REPRO_BENCH_1E7=1``, off by default — minutes), the
-  chunk-streamed ``iter_apply_chunked`` run must finish inside a
-  bounded-memory assertion in a subprocess, with sampled chunks
-  byte-identical to the interpreted ``Mask.apply``.
+At 10^7 rows (``REPRO_BENCH_1E7=1``, off by default — minutes), a
+chunk-streamed run (``iter_chunks`` plus ``CompiledMask.apply_rows``
+per chunk, as ``authorize_stream`` masks) must finish inside a
+bounded-memory assertion in a subprocess, with sampled chunks
+byte-identical to the interpreted ``Mask.apply``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import resource
 import statistics
 import subprocess
 import sys
@@ -39,7 +38,7 @@ from repro.algebra.relation import Column, Relation
 from repro.algebra.types import INTEGER
 from repro.calculus.to_algebra import compile_query
 from repro.config import DEFAULT_CONFIG
-from repro.core.compiled_mask import compile_mask
+from repro.core.compiled_mask import apply_mask_columnar, compile_mask
 from repro.core.mask import MASKED, Mask
 from repro.meta.cell import MetaCell
 from repro.meta.metatuple import MetaTuple
@@ -56,15 +55,17 @@ VALUE_SPACE = 50
 REPEATS = 5
 SPEEDUP_BAR = 5.0
 
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR4.json"
+RESULTS_PATH = (Path(__file__).resolve().parents[1] / ".bench_out"
+                / "bench_mask_apply.json")
 
 
 def _record(section: str, payload: dict) -> None:
-    """Merge ``payload`` under ``section`` in ``BENCH_PR4.json``."""
+    """Merge ``payload`` under ``section`` in the results file."""
     results = {}
     if RESULTS_PATH.exists():
         results = json.loads(RESULTS_PATH.read_text())
     results[section] = payload
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
@@ -138,11 +139,13 @@ def test_compiled_apply_speedup_and_identity():
     compiled = compile_mask(mask)
 
     interpreted_out = mask.apply(answer)
-    compiled_out = compiled.apply(answer)
+    compiled_out = apply_mask_columnar(compiled, answer)
     assert compiled_out == interpreted_out  # identity before speed
 
     interpreted_s = _median_seconds(lambda: mask.apply(answer))
-    compiled_s = _median_seconds(lambda: compiled.apply(answer))
+    compiled_s = _median_seconds(
+        lambda: apply_mask_columnar(compiled, answer)
+    )
     compile_s = _median_seconds(lambda: compile_mask(mask), repeats=3)
     speedup = interpreted_s / compiled_s
 
@@ -171,7 +174,7 @@ def test_compiled_apply_speedup_and_identity():
 
 
 # ----------------------------------------------------------------------
-# the streaming pruned product
+# the streamed pruned product
 # ----------------------------------------------------------------------
 
 # Many 3-relation views over 4 relations: most product combinations
@@ -203,21 +206,20 @@ def _derivation_inputs():
     return workload, user, plans
 
 
-def test_streaming_product_never_materializes_more():
+def test_streamed_product_never_materializes_more():
     """Streamed derivations: same masks, fewer product rows, timed."""
     workload, user, plans = _derivation_inputs()
     schema = workload.database.schema
-    streaming_cfg = DEFAULT_CONFIG.but(streaming_product=True)
-    materializing_cfg = DEFAULT_CONFIG.but(streaming_product=False)
 
-    def run(config):
+    def run(materialize):
         return [
-            derive_mask(plan, schema, workload.catalog, user, config)
+            derive_mask(plan, schema, workload.catalog, user,
+                        DEFAULT_CONFIG, materialize=materialize)
             for plan in plans
         ]
 
-    streamed = run(streaming_cfg)
-    materialized = run(materializing_cfg)
+    streamed = run(False)
+    materialized = run(True)
     for fast, slow in zip(streamed, materialized):
         assert fast.mask.rows == slow.mask.rows  # identity before speed
 
@@ -229,9 +231,9 @@ def test_streaming_product_never_materializes_more():
     )
     assert streamed_rows <= materialized_rows
 
-    streaming_s = _median_seconds(lambda: run(streaming_cfg))
-    materializing_s = _median_seconds(lambda: run(materializing_cfg))
-    _record("streaming_product", {
+    streaming_s = _median_seconds(lambda: run(False))
+    materializing_s = _median_seconds(lambda: run(True))
+    _record("streamed_product", {
         "derivations": DERIVATIONS,
         "product_rows_materialized": materialized_rows,
         "product_rows_streamed": streamed_rows,
@@ -239,7 +241,7 @@ def test_streaming_product_never_materializes_more():
         "streaming_median_ms": round(streaming_s * 1e3, 3),
         "speedup": round(materializing_s / streaming_s, 2),
     })
-    print(f"\nstreaming product: {streamed_rows} rows materialized vs "
+    print(f"\nstreamed product: {streamed_rows} rows materialized vs "
           f"{materialized_rows} reference; "
           f"derive {streaming_s * 1e3:.1f}ms vs "
           f"{materializing_s * 1e3:.1f}ms "
@@ -247,33 +249,15 @@ def test_streaming_product_never_materializes_more():
 
 
 # ----------------------------------------------------------------------
-# the columnar data plane at 10^6 and 10^7 rows (PR 9)
+# chunk-streamed masking at 10^7 rows
 # ----------------------------------------------------------------------
 
-SCALE_1E6 = 1_000_000
 SCALE_1E7 = 10_000_000
-COLUMNAR_SPEEDUP_BAR = 4.0
 #: Peak-RSS ceiling for the 10^7 chunked subprocess.  A materialized
 #: 10^7 x 6 answer alone is >1 GB of tuples, so staying under this
 #: bound demonstrates the answer never existed in memory at once.
 RSS_BOUND_1E7_MB = 512
 CHUNK_1E7 = 65_536
-
-BENCH9_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR9.json"
-
-
-def _record9(section: str, payload: dict) -> None:
-    """Merge ``payload`` under ``section`` in ``BENCH_PR9.json``."""
-    results = {}
-    if BENCH9_PATH.exists():
-        results = json.loads(BENCH9_PATH.read_text())
-    results[section] = payload
-    BENCH9_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-
-def _peak_rss_mb() -> float:
-    """This process's high-water RSS in MB (Linux: ru_maxrss is KB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def iter_scale_rows(count: int, pool_size: int = 4096):
@@ -295,78 +279,15 @@ def iter_scale_rows(count: int, pool_size: int = 4096):
         yield pool[i % pool_size] + (i,)
 
 
-def test_columnar_speedup_1e6():
-    """Columnar kernel >= 4x the row kernel at 10^6 rows, identical."""
-    mask = build_mask()
-    compiled = compile_mask(mask)
-    answer = Relation(
-        mask.columns, iter_scale_rows(SCALE_1E6), validate=False,
-    )
-    assert answer.cardinality == SCALE_1E6
-
-    from repro.core.compiled_mask import apply_mask_columnar
-
-    columnar_out = apply_mask_columnar(compiled, answer)
-    row_out = compiled.apply(answer)
-    assert columnar_out == row_out  # identity before speed
-    del columnar_out, row_out
-
-    # The row kernel takes seconds per pass at this scale; three
-    # repeats bound the job's wall time while the median still rejects
-    # a single noisy sample.
-    row_s = _median_seconds(lambda: compiled.apply(answer), repeats=3)
-    columnar_s = _median_seconds(
-        lambda: apply_mask_columnar(compiled, answer), repeats=3,
-    )
-    speedup = row_s / columnar_s
-
-    payload = {
-        "answer_rows": SCALE_1E6,
-        "mask_rows": len(mask.rows),
-        "arity": ARITY,
-        "row_kernel_median_ms": round(row_s * 1e3, 1),
-        "columnar_median_ms": round(columnar_s * 1e3, 1),
-        "row_kernel_rows_per_sec": round(SCALE_1E6 / row_s),
-        "columnar_rows_per_sec": round(SCALE_1E6 / columnar_s),
-        "speedup": round(speedup, 2),
-        "speedup_bar": COLUMNAR_SPEEDUP_BAR,
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-    }
-
-    from repro.algebra.columnar import have_numpy
-
-    if have_numpy():
-        numpy_s = _median_seconds(
-            lambda: apply_mask_columnar(compiled, answer,
-                                        use_numpy=True),
-            repeats=3,
-        )
-        payload["columnar_numpy_median_ms"] = round(numpy_s * 1e3, 1)
-        payload["columnar_numpy_rows_per_sec"] = round(
-            SCALE_1E6 / numpy_s
-        )
-
-    _record9("columnar_1e6", payload)
-    print(f"\ncolumnar 1e6: row kernel {row_s * 1e3:.0f}ms "
-          f"({SCALE_1E6 / row_s:,.0f} rows/s)  "
-          f"columnar {columnar_s * 1e3:.0f}ms "
-          f"({SCALE_1E6 / columnar_s:,.0f} rows/s)  "
-          f"speedup {speedup:.1f}x  "
-          f"peak RSS {payload['peak_rss_mb']:.0f}MB")
-    assert speedup >= COLUMNAR_SPEEDUP_BAR, (
-        f"expected >= {COLUMNAR_SPEEDUP_BAR}x over the row kernel, "
-        f"measured {speedup:.2f}x"
-    )
-
-
 #: Driver for the 10^7 bounded-memory run.  Executed in a *subprocess*
 #: so its ru_maxrss is a clean high-water mark of the chunked pipeline
 #: alone, not of whatever this pytest process touched before.
 _DRIVER_1E7 = """
 import json, resource, sys, time
 from bench_mask_apply import build_mask, iter_scale_rows
+from repro.algebra.columnar import iter_chunks
 from repro.algebra.relation import Relation
-from repro.core.compiled_mask import compile_mask, iter_apply_chunked
+from repro.core.compiled_mask import compile_mask
 
 count, chunk_size, sample_every = (int(a) for a in sys.argv[1:4])
 mask = build_mask()
@@ -375,8 +296,9 @@ compiled = compile_mask(mask)
 start = time.perf_counter()
 rows_seen = 0
 checked_rows = 0
-for index, masked in enumerate(iter_apply_chunked(
-        compiled, iter_scale_rows(count), chunk_size=chunk_size)):
+for index, chunk in enumerate(iter_chunks(iter_scale_rows(count),
+                                          chunk_size)):
+    masked = compiled.apply_rows(chunk)
     chunk_start = rows_seen
     rows_seen += len(masked)
     if index % sample_every == 0:
@@ -432,7 +354,7 @@ def test_chunked_apply_1e7_bounded_memory():
         f"bound is {RSS_BOUND_1E7_MB}MB — the answer must never "
         f"materialize whole"
     )
-    _record9("chunked_1e7", {
+    _record("chunked_1e7", {
         **stats,
         "chunk_size": CHUNK_1E7,
         "sample_every_chunks": sample_every,
@@ -461,5 +383,5 @@ def test_apply_compiled(benchmark):
     mask = build_mask()
     answer = build_answer(mask)
     compiled = compile_mask(mask)
-    out = benchmark(compiled.apply, answer)
+    out = benchmark(apply_mask_columnar, compiled, answer)
     assert len(out) == ANSWER_ROWS

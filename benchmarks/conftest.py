@@ -6,18 +6,6 @@ the hot path with pytest-benchmark.  Every benchmarked function also
 *asserts* the paper's outcome, so a regression in behaviour fails the
 benchmark run rather than silently timing the wrong thing.
 
-The ``paper_engine`` fixture is parameterizable over the hot-path
-switches (``docs/PERFORMANCE.md``) for A/B runs::
-
-    pytest benchmarks/ --engine-mode hot --engine-mode reference
-
-runs every ``paper_engine`` benchmark twice — once with the compiled
-mask kernels and the streaming product (the default), once with both
-replaced by the interpreted/materializing reference paths — so a
-speedup claim can be read straight off one report.  Because the two
-paths are differentially identical, every behavioural assertion holds
-in every mode.
-
 The benchmark tree is also inside the static-analysis perimeter
 (``docs/STATIC_ANALYSIS.md``): CI's ``static-analysis`` job runs
 ``ruff check`` over ``benchmarks/`` and soundlint's SL006
@@ -41,42 +29,10 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.workloads.paperdb import build_paper_engine
 
-#: Engine modes selectable with ``--engine-mode`` (repeatable).
-ENGINE_MODES = {
-    # Hot path: compiled mask kernels + streaming pruned product.
-    "hot": {},
-    # Interpreted Mask.apply, streaming product.
-    "interpreted-mask": {"compiled_masks": False},
-    # Compiled masks, materialize-then-prune product.
-    "materializing-product": {"streaming_product": False},
-    # Both reference paths (the pre-optimization engine).
-    "reference": {"compiled_masks": False, "streaming_product": False},
-}
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--engine-mode",
-        action="append",
-        choices=sorted(ENGINE_MODES),
-        default=None,
-        help="paper_engine configuration(s) to benchmark; "
-             "repeat for A/B runs (default: hot)",
-    )
-
-
-def pytest_generate_tests(metafunc):
-    if "paper_engine" in metafunc.fixturenames:
-        modes = metafunc.config.getoption("--engine-mode") or ["hot"]
-        metafunc.parametrize("paper_engine", modes, indirect=True)
-
 
 @pytest.fixture
-def paper_engine(request):
-    mode = getattr(request, "param", "hot")
+def paper_engine():
     # The derivation cache is disabled so repeated benchmark rounds
     # keep measuring the meta-algebra itself; bench_cache.py measures
     # the cache explicitly with its own engines.
-    return build_paper_engine(
-        DEFAULT_CONFIG.but(derivation_cache_size=0, **ENGINE_MODES[mode])
-    )
+    return build_paper_engine(DEFAULT_CONFIG.but(derivation_cache_size=0))

@@ -1,4 +1,4 @@
-"""Columnar chunk utilities and the optional numpy gate.
+"""Columnar chunk utilities.
 
 The columnar data plane (ROADMAP item 5) views a relation as a tuple
 of per-column value sequences instead of a sequence of row tuples:
@@ -9,17 +9,12 @@ pieces both sides share:
 
 * :func:`iter_chunks` — bound an arbitrary row iterator into fixed-size
   tuples, the unit of work of every chunk-streamed path;
-* :func:`columns_of` — transpose a row chunk into column sequences;
-* :func:`numpy_or_none` — the lazy, *optional* numpy gate.  numpy is
-  never imported at module load and never required: callers that ask
-  for the vectorized path (``EngineConfig.columnar_numpy``) silently
-  fall back to pure Python when the library is absent, so the
-  container needs nothing beyond the stdlib.
+* :func:`columns_of` — transpose a row chunk into column sequences.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.algebra.types import Value
 
@@ -30,30 +25,6 @@ _Row = Tuple[Value, ...]
 #: that per-chunk fixed costs (transpose, flag allocation) amortize,
 #: small enough that a chunk of wide rows stays comfortably in cache.
 DEFAULT_CHUNK_SIZE = 8192
-
-#: Tri-state numpy cache: ``None`` = not probed yet, ``False`` = probed
-#: and absent, module = probed and importable.
-_numpy_module: Any = None
-_numpy_probed: bool = False
-
-
-def numpy_or_none() -> Optional[Any]:
-    """The numpy module when importable, else ``None`` (cached probe)."""
-    global _numpy_module, _numpy_probed
-    if not _numpy_probed:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - depends on image
-            _numpy_module = None
-        else:
-            _numpy_module = numpy
-        _numpy_probed = True
-    return _numpy_module
-
-
-def have_numpy() -> bool:
-    """Whether the optional numpy path is available at all."""
-    return numpy_or_none() is not None
 
 
 def iter_chunks(rows: Iterable[_Row],

@@ -60,59 +60,19 @@ def _step_plan(
     return offsets, widths, step_conditions
 
 
-def evaluate_optimized(query: PSJQuery, database: Database) -> Relation:
-    """Evaluate ``query`` with pushdown and hash joins.
+def _partials(query: PSJQuery, database: Database) -> Iterable[Row]:
+    """Joined product rows of ``query`` that pass every condition.
 
     Occurrences are joined in their given order (join reordering would
     also be sound but makes traces harder to compare); the optimization
-    is in *when* predicates run, not in the join order.
-    """
-    query.validate(database.schema)
-    schema = database.schema
-    offsets, widths, step_conditions = _step_plan(query, database)
-
-    partials: List[Row] = [()]
-    for step, occ in enumerate(query.occurrences):
-        relation = database.instance(occ.relation)
-        conditions = step_conditions[step]
-        offset = offsets[step]
-
-        equi, residual = _split_equijoin(conditions, offset, widths[step])
-        if equi and partials and relation.rows:
-            partials = _hash_join_step(partials, relation, offset, equi,
-                                       residual)
-        else:
-            partials = _nested_loop_step(partials, relation, conditions)
-        if not partials:
-            break
-
-    columns = query.product_columns(schema)
-    result_rows = map(row_getter(query.output), partials)
-    out_columns = tuple(columns[i] for i in query.output)
-    return Relation(out_columns, result_rows, validate=False)
-
-
-def iter_evaluate_optimized(
-    query: PSJQuery, database: Database,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[Tuple[Row, ...]]:
-    """Evaluate ``query``, yielding deduplicated rows in chunks.
-
-    The streaming counterpart of :func:`evaluate_optimized` (its
-    oracle — soundlint SL005): the concatenated chunks equal
-    ``evaluate_optimized(query, database).rows`` exactly, including
-    order (``tests/property/test_chunked_apply.py``).  Partial rows
-    flow through the same pushdown/hash-join steps as generators, so
-    at most O(chunk) projected rows are buffered — the irreducible
-    memory cost is the hash-join build sides (one relation each) and
-    the set-semantics dedupe set (one entry per *distinct* output
-    row, cheaper than the rows themselves).
+    is in *when* predicates run, not in the join order.  Partial rows
+    flow through the steps as generators, so nothing is materialized
+    but the hash-join build sides (one relation each), and rows come
+    out in product order — the order the naive oracle
+    :func:`~repro.algebra.evaluate.evaluate_naive` keeps.
     """
     query.validate(database.schema)
     offsets, widths, step_conditions = _step_plan(query, database)
-    if chunk_size <= 0:
-        chunk_size = 1
-
     partials: Iterable[Row] = ((),)
     for step, occ in enumerate(query.occurrences):
         relation = database.instance(occ.relation)
@@ -124,7 +84,37 @@ def iter_evaluate_optimized(
                                        residual)
         else:
             partials = _nested_loop_iter(partials, relation, conditions)
+    return partials
 
+
+def evaluate_optimized(query: PSJQuery, database: Database) -> Relation:
+    """Evaluate ``query`` with pushdown and hash joins."""
+    partials = _partials(query, database)
+    columns = query.product_columns(database.schema)
+    out_columns = tuple(columns[i] for i in query.output)
+    return Relation(out_columns, map(row_getter(query.output), partials),
+                    validate=False)
+
+
+def iter_evaluate_optimized(
+    query: PSJQuery, database: Database,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> Iterator[Tuple[Row, ...]]:
+    """Evaluate ``query``, yielding deduplicated rows in chunks.
+
+    The bounded-memory form of :func:`evaluate_optimized`: the same
+    partial rows, projected and deduplicated through a seen-set
+    instead of a :class:`Relation`, so the concatenated chunks equal
+    ``evaluate_optimized(query, database).rows`` exactly, including
+    order, and match the naive oracle ``evaluate_naive`` as a set
+    (``tests/property/test_chunked_apply.py``).  At most O(chunk)
+    projected rows are buffered — the irreducible memory cost is the
+    hash-join build sides and the set-semantics dedupe set (one entry
+    per *distinct* output row, cheaper than the rows themselves).
+    """
+    partials = _partials(query, database)
+    if chunk_size <= 0:
+        chunk_size = 1
     getter = row_getter(query.output)
     seen = set()
     add = seen.add
@@ -182,53 +172,6 @@ def _probe_key_parts(condition: AtomicCondition, offset: int,
     return rhs.index - offset, lhs
 
 
-def _hash_join_step(
-    partials: List[Row],
-    relation: Relation,
-    offset: int,
-    equi: Sequence[AtomicCondition],
-    residual: Sequence[AtomicCondition],
-) -> List[Row]:
-    """Extend partial rows via a hash join on the equality conditions."""
-    key_specs = [_probe_key_parts(c, offset, relation.arity) for c in equi]
-
-    # Build side: index the new relation's rows by their key columns.
-    buckets: Dict[Tuple[Value, ...], List[Row]] = {}
-    for row in relation.rows:
-        key = tuple(row[col] for col, _ in key_specs)
-        buckets.setdefault(key, []).append(row)
-
-    out: List[Row] = []
-    for partial in partials:
-        probe: List[Value] = []
-        for _, operand in key_specs:
-            if isinstance(operand, Const):
-                probe.append(operand.value)
-            else:
-                probe.append(partial[operand.index])
-        matches = buckets.get(tuple(probe), ())
-        for row in matches:
-            candidate = partial + row
-            if all(c.evaluate(candidate) for c in residual):
-                out.append(candidate)
-    return out
-
-
-def _nested_loop_step(
-    partials: List[Row],
-    relation: Relation,
-    conditions: Sequence[AtomicCondition],
-) -> List[Row]:
-    """Extend partial rows by nested-loop product plus filtering."""
-    out: List[Row] = []
-    for partial in partials:
-        for row in relation.rows:
-            candidate = partial + row
-            if all(c.evaluate(candidate) for c in conditions):
-                out.append(candidate)
-    return out
-
-
 def _hash_join_iter(
     partials: Iterable[Row],
     relation: Relation,
@@ -236,9 +179,10 @@ def _hash_join_iter(
     equi: Sequence[AtomicCondition],
     residual: Sequence[AtomicCondition],
 ) -> Iterator[Row]:
-    """Generator twin of :func:`_hash_join_step`: same rows, same
-    order, but partial rows flow through without materializing.  The
-    build-side buckets (one relation) are the only retained state."""
+    """Extend partial rows via a hash join on the equality conditions.
+
+    The build-side buckets (one relation) are the only retained state;
+    partial rows flow through without materializing."""
     key_specs = [_probe_key_parts(c, offset, relation.arity) for c in equi]
     buckets: Dict[Tuple[Value, ...], List[Row]] = {}
     for row in relation.rows:
@@ -264,7 +208,7 @@ def _nested_loop_iter(
     relation: Relation,
     conditions: Sequence[AtomicCondition],
 ) -> Iterator[Row]:
-    """Generator twin of :func:`_nested_loop_step`."""
+    """Extend partial rows by nested-loop product plus filtering."""
     rows = relation.rows
     for partial in partials:
         for row in rows:

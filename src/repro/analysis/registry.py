@@ -17,13 +17,13 @@ from typing import Dict, FrozenSet, Optional, Tuple
 # ----------------------------------------------------------------------
 
 #: ``module:qualname`` of the only functions allowed to catch broad
-#: ``Exception``: the engine's two authorize boundaries and the
-#: degradation ladder's rung loop.  Everything else must narrow to
-#: :class:`~repro.errors.ReproError` subtypes or re-raise.
+#: ``Exception``: the engine's authorize pipeline (behind
+#: ``authorize``, ``authorize_batch`` and ``authorize_degraded``), its
+#: streaming pair, and the degradation ladder's rung loop.  Everything
+#: else must narrow to :class:`~repro.errors.ReproError` subtypes or
+#: re-raise.
 FAIL_CLOSED_BOUNDARIES: FrozenSet[str] = frozenset({
-    "repro.core.engine:AuthorizationEngine.authorize",
-    "repro.core.engine:AuthorizationEngine.authorize_batch",
-    "repro.core.engine:AuthorizationEngine.authorize_degraded",
+    "repro.core.engine:AuthorizationEngine._authorize_many",
     # The streaming pair: establishment failures fail the whole stream
     # closed, delivery failures fail the *remainder* closed.
     "repro.core.engine:AuthorizationEngine.authorize_stream",
@@ -114,23 +114,19 @@ FAST_PATHS: Dict[str, OracleEntry] = {
         oracle="repro.core.mask.Mask.apply",
         test="tests/property/test_compiled_mask.py",
     ),
-    # The columnar kernel and its chunk-streamed form both answer to
-    # the interpreted Mask.apply, like the row kernel above.
+    # The columnar kernel is the only production masker; it answers
+    # to the interpreted Mask.apply.
     "repro.core.compiled_mask.apply_mask_columnar": OracleEntry(
         oracle="repro.core.mask.Mask.apply",
         test="tests/property/test_columnar_relation.py",
     ),
-    "repro.core.compiled_mask.iter_apply_chunked": OracleEntry(
-        oracle="repro.core.mask.Mask.apply",
-        test="tests/property/test_chunked_apply.py",
-    ),
     "repro.algebra.optimize.iter_evaluate_optimized": OracleEntry(
-        oracle="repro.algebra.optimize.evaluate_optimized",
+        oracle="repro.algebra.evaluate.evaluate_naive",
         test="tests/property/test_chunked_apply.py",
     ),
     "repro.metaalgebra.product.meta_product_streaming": OracleEntry(
         oracle="repro.metaalgebra.product.meta_product",
-        test="tests/property/test_streaming_product.py",
+        test="tests/property/test_meta_product_streaming.py",
     ),
 }
 
@@ -283,11 +279,9 @@ TAINT_SOURCES: FrozenSet[str] = frozenset({
 #: tainted value passed through one of these comes out clean.
 TAINT_SANITIZERS: FrozenSet[str] = frozenset({
     "repro.core.mask:Mask.apply",
-    "repro.core.compiled_mask:CompiledMask.apply",
     "repro.core.compiled_mask:CompiledMask.apply_rows",
     "repro.core.compiled_mask:CompiledMask.apply_columns",
     "repro.core.compiled_mask:apply_mask_columnar",
-    "repro.core.compiled_mask:iter_apply_chunked",
     # Masked execution applies the mask inside the backend.
     "repro.backends.base:ExecutionBackend.execute_masked",
     "repro.backends.common:_SQLBackend.execute_masked",

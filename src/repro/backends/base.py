@@ -103,7 +103,7 @@ class ExecutionBackend(Protocol):
         by the ``MASKED`` sentinel, fully masked tuples optionally
         dropped.  SQL backends push SQL-extractable masks into the
         statement itself (``CASE WHEN`` per column) and fall back to
-        the Python matchers — ``compiled`` when given, else the
-        interpreted ``mask`` — for the rest.
+        the columnar kernel over ``compiled`` when given, else the
+        interpreted ``mask``, for the rest.
         """
         ...

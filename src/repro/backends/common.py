@@ -44,7 +44,11 @@ from repro.algebra.to_sql import (
     plan_to_sql,
     table_name,
 )
-from repro.core.compiled_mask import CompiledMask, sql_predicate_view
+from repro.core.compiled_mask import (
+    CompiledMask,
+    apply_mask_columnar,
+    sql_predicate_view,
+)
 from repro.core.mask import MASKED, Mask
 from repro.errors import BackendError
 from repro.testing.faults import maybe_fault
@@ -203,7 +207,8 @@ class _SQLBackend:
         work is translating NULL back to the ``MASKED`` sentinel
         (sound because the stored domains never produce NULL).  A mask
         with inexpressible rows falls back to evaluating the plan in
-        SQL and masking with the Python matchers.
+        SQL and masking with the columnar kernel (or, without a
+        ``compiled`` mask, the interpreted ``Mask.apply``).
         """
         database = self._require_database()
         plan.validate(database.schema)
@@ -211,8 +216,8 @@ class _SQLBackend:
         if view is None:
             answer = self.execute(plan)
             if compiled is not None:
-                return compiled.apply(
-                    answer, drop_fully_masked=drop_fully_masked
+                return apply_mask_columnar(
+                    compiled, answer, drop_fully_masked=drop_fully_masked,
                 )
             return mask.apply(
                 answer, drop_fully_masked=drop_fully_masked

@@ -1,7 +1,7 @@
 """The in-process reference backend (the differential oracle).
 
 Wraps the existing evaluator pipeline — ``evaluate_optimized`` for
-plans, ``Mask.apply`` / ``CompiledMask.apply`` for masking — behind
+plans, the columnar kernel or ``Mask.apply`` for masking — behind
 the :class:`~repro.backends.base.ExecutionBackend` protocol.  This is
 the backend every engine uses by default, and the oracle the SQL
 backends are differentially tested against
@@ -74,27 +74,17 @@ class PythonBackend:
         mask: Mask,
         compiled: Optional[CompiledMask] = None,
         drop_fully_masked: bool = False,
-        columnar: bool = True,
-        use_numpy: bool = False,
     ) -> Tuple[Tuple, ...]:
         """Evaluate then mask — the reference composition.
 
         With a ``compiled`` mask the columnar kernel
-        (:func:`repro.core.compiled_mask.apply_mask_columnar`) is the
-        default route; ``columnar=False`` selects the PR 4 row kernel
-        and ``use_numpy=True`` opts the columnar kernel into its numpy
-        broadcast path.  All three routes are byte-identical
-        (``tests/property/test_columnar_relation.py``).
+        (:func:`repro.core.compiled_mask.apply_mask_columnar`) masks
+        the answer, else the interpreted ``Mask.apply``; the two are
+        byte-identical (``tests/property/test_columnar_relation.py``).
         """
         answer = self.execute(plan)
         if compiled is not None:
-            if columnar:
-                return apply_mask_columnar(
-                    compiled, answer,
-                    drop_fully_masked=drop_fully_masked,
-                    use_numpy=use_numpy,
-                )
-            return compiled.apply(
-                answer, drop_fully_masked=drop_fully_masked
+            return apply_mask_columnar(
+                compiled, answer, drop_fully_masked=drop_fully_masked,
             )
         return mask.apply(answer, drop_fully_masked=drop_fully_masked)

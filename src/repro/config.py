@@ -80,25 +80,6 @@ class EngineConfig:
         derivation_deadline_ms: budget — wall-time limit per derivation
             attempt (0 = no deadline).  Each ladder rung gets a fresh
             deadline, so the worst case is ``rungs * deadline``.
-        compiled_masks: apply masks through compiled matchers
-            (``repro.core.compiled_mask``): each mask row is compiled
-            once into a constant hash-index probe plus precomputed
-            equality groups and interval checks, and the compiled form
-            is cached alongside the derivation under the same version
-            token.  Delivered rows are identical to the interpreted
-            :meth:`repro.core.mask.Mask.apply` (the differential suite
-            ``tests/property/test_compiled_mask.py`` enforces it); the
-            switch exists as an opt-out for A/B benchmarking and as a
-            fallback.  See ``docs/PERFORMANCE.md``.
-        streaming_product: fold the dangling-reference pruning and the
-            provenance-aware dedupe into the meta-product's combination
-            loop, so product rows destined for pruning are never
-            materialized (and ``max_mask_rows`` only meters rows that
-            actually survive).  The resulting pruned product is
-            identical to materialize-then-prune
-            (``tests/property/test_streaming_product.py``); the switch
-            exists as an opt-out for A/B benchmarking and for printing
-            the paper's pre-prune product tables.
         degradation_ladder: on budget exhaustion or internal failure,
             re-derive at progressively cheaper rungs (full refinements
             → no self-joins → no padding → base model → empty mask)
@@ -144,23 +125,6 @@ class EngineConfig:
             another's).
         breaker_recovery_ms: breaker cool-down before a half-open
             probe is allowed.
-        columnar_masks: apply compiled masks through the columnar
-            kernel (``repro.core.compiled_mask.apply_mask_columnar``):
-            the answer is viewed column-wise and each mask-row check —
-            constant hash probe, equality group, interval — runs as a
-            per-column pass over a chunk of rows instead of per row.
-            Delivered rows are byte-identical to the row-at-a-time
-            kernel and to the interpreted :meth:`repro.core.mask.
-            Mask.apply` (``tests/property/test_columnar_relation.py``);
-            the switch opts back into the row kernel for A/B
-            benchmarking.  See ``docs/PERFORMANCE.md``.
-        columnar_numpy: accelerate the columnar kernel's broadcast
-            passes (constant-free mask rows: equality groups and
-            interval filters) with numpy when the library is
-            importable.  Off by default — the pure-Python columnar
-            kernel is the reference; output is identical either way,
-            and the flag silently degrades to pure Python when numpy
-            is absent (no hard dependency).
         stream_chunk_size: rows per delivered chunk in
             :meth:`~repro.core.engine.AuthorizationEngine.
             authorize_stream` (and the default chunk granularity of
@@ -187,8 +151,6 @@ class EngineConfig:
     max_mask_rows: int = 0
     max_selfjoin_pool: int = 0
     derivation_deadline_ms: float = 0.0
-    compiled_masks: bool = True
-    streaming_product: bool = True
     degradation_ladder: bool = True
     fail_closed: bool = True
     backend: str = "python"
@@ -198,8 +160,6 @@ class EngineConfig:
     backend_retry_jitter_ms: float = 0.0
     breaker_failure_threshold: int = 5
     breaker_recovery_ms: float = 1000.0
-    columnar_masks: bool = True
-    columnar_numpy: bool = False
     stream_chunk_size: int = 8192
     max_stream_rows: int = 0
 

@@ -21,32 +21,24 @@ per-tuple work collapses to hash probes and precomputed checks:
 * rows that match unconditionally (no constants, no variables) are
   folded into a precomputed ``always_visible`` set, which also yields
   the ``covers_everything`` fast path: when the mask always exposes
-  every column, ``apply`` returns the answer rows untouched.
+  every column, the answer rows are delivered untouched.
 
-Compilation is pure: the compiled matcher is differentially identical
-to the interpreted ``Mask.apply`` / ``Mask.visible_positions`` (the
-reference oracle), a property enforced by
-``tests/property/test_compiled_mask.py`` across generated masks,
+Compilation is pure.  :func:`apply_mask_columnar` and
+:meth:`CompiledMask.apply_rows` evaluate the compiled checks as
+per-column passes — constant signatures become one hash-probe sweep per
+column group, equality groups one paired-column comparison pass,
+intervals one membership pass with normalization hoisted — over a
+relation's :meth:`~repro.algebra.relation.Relation.column_data` view or
+over one streamed chunk of rows.  This columnar kernel is the engine's
+only production masker; it is differentially identical to the
+interpreted ``Mask.apply`` (the reference oracle), a property enforced
+by ``tests/property/test_compiled_mask.py`` and
+``tests/property/test_columnar_relation.py`` across generated masks,
 answers, blanks, repeated variables, and COMPARISON constraints.  The
 engine stores compiled masks alongside derivations in the
 :class:`~repro.core.cache.DerivationCache` under the same catalog
 version token, so compilation is amortized exactly like derivation
-(``docs/CACHING.md``), and ``EngineConfig.compiled_masks`` opts back
-into the interpreted path for A/B benchmarking
-(``docs/PERFORMANCE.md``).
-
-On top of the row-at-a-time kernel this module provides the *columnar*
-data plane (ROADMAP item 5): :func:`apply_mask_columnar` evaluates the
-same compiled checks as per-column passes over the answer's
-:meth:`~repro.algebra.relation.Relation.column_data` view — constant
-signatures become one hash-probe sweep per column group, equality
-groups one paired-column comparison pass, intervals one membership
-pass with normalization hoisted — and :func:`iter_apply_chunked`
-streams those passes over bounded chunks so a 10^7-row answer is
-masked in O(chunk) memory.  Both are registered fast paths under the
-same SL005 discipline, with the interpreted ``Mask.apply`` still the
-oracle (``tests/property/test_columnar_relation.py``,
-``tests/property/test_chunked_apply.py``).
+(``docs/CACHING.md``).
 """
 
 from __future__ import annotations
@@ -57,19 +49,13 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.algebra.columnar import (
-    DEFAULT_CHUNK_SIZE,
-    columns_of,
-    iter_chunks,
-    numpy_or_none,
-)
+from repro.algebra.columnar import columns_of
 from repro.algebra.relation import Relation, Row
 from repro.algebra.to_sql import MaskPredicateRow, MaskPredicateView
 from repro.algebra.types import Value
@@ -89,7 +75,7 @@ class CompiledRow:
     constant cells match; what remains per tuple is the precomputed
     equality groups, the hoisted interval checks, and — only when the
     row's store relates variables to each other — the full
-    ``satisfied_by`` residual check.
+    ``satisfied_by`` residual check (see :func:`_filter_candidates`).
     """
 
     __slots__ = ("star_set", "eq_groups", "interval_checks",
@@ -115,8 +101,8 @@ class CompiledRow:
         """Interval checks as compiled membership closures.
 
         :meth:`Interval.membership` hoists normalization out of the
-        per-value test; built lazily so the row kernel (which calls
-        ``Interval.contains`` directly) pays nothing for it.
+        per-value test; built lazily, so a row no answer value ever
+        reaches pays nothing for it.
         """
         members = self._members
         if members is None:
@@ -127,31 +113,12 @@ class CompiledRow:
             self._members = members
         return members
 
-    def matches(self, values: Row) -> bool:
-        """Does this row admit ``values``?  (Constants already probed.)"""
-        for group in self.eq_groups:
-            first = values[group[0]]
-            for position in group[1:]:
-                if values[position] != first:
-                    return False
-        for position, interval in self.interval_checks:
-            if not interval.contains(values[position]):
-                return False
-        if self.binding_spec is not None:
-            assert self.store is not None
-            binding = {
-                var: values[position]
-                for var, position in self.binding_spec
-            }
-            return self.store.satisfied_by(binding)
-        return True
-
 
 class CompiledMask:
     """A mask lowered to a constant hash index plus compiled rows."""
 
     __slots__ = ("ncols", "always_visible", "groups", "covers_all",
-                 "_masked_template", "_full_set", "_columnar")
+                 "_columnar")
 
     def __init__(self, ncols: int, always_visible: FrozenSet[int],
                  groups: Tuple[
@@ -160,68 +127,11 @@ class CompiledMask:
         self.ncols = ncols
         self.always_visible = always_visible
         self.groups = groups
-        #: Every column is visible for every tuple: apply() may return
-        #: the answer untouched (the ``covers_everything`` fast path,
+        #: Every column is visible for every tuple: the answer may be
+        #: delivered untouched (the ``covers_everything`` fast path,
         #: generalized to unions of unconditional rows).
         self.covers_all = ncols > 0 and len(always_visible) == ncols
-        self._masked_template = (MASKED,) * ncols
-        self._full_set = frozenset(range(ncols))
         self._columnar: Optional[_ColumnarPlan] = None
-
-    # ------------------------------------------------------------------
-    # matching
-    # ------------------------------------------------------------------
-
-    def visible_positions(self, values: Row) -> FrozenSet[int]:
-        """Columns of ``values`` that may be delivered.
-
-        Differentially identical to
-        :meth:`repro.core.mask.Mask.visible_positions`.
-        """
-        if self.covers_all:
-            return self._full_set
-        visible = set(self.always_visible)
-        ncols = self.ncols
-        for positions, buckets in self.groups:
-            rows = buckets.get(tuple(values[p] for p in positions))
-            if not rows:
-                continue
-            for row in rows:
-                if row.star_set <= visible:
-                    continue
-                if row.matches(values):
-                    visible |= row.star_set
-                    if len(visible) == ncols:
-                        return self._full_set
-        return frozenset(visible)
-
-    # ------------------------------------------------------------------
-    # application
-    # ------------------------------------------------------------------
-
-    def apply(self, answer: Relation,
-              drop_fully_masked: bool = False) -> Tuple[Tuple, ...]:
-        """Mask ``answer`` — byte-identical to ``Mask.apply``."""
-        if self.covers_all:
-            return tuple(tuple(values) for values in answer.rows)
-        ncols = self.ncols
-        delivered: List[Tuple] = []
-        append = delivered.append
-        masked_row = self._masked_template
-        for values in answer.rows:
-            visible = self.visible_positions(values)
-            if not visible:
-                if drop_fully_masked:
-                    continue
-                append(masked_row)
-            elif len(visible) == ncols:
-                append(tuple(values))
-            else:
-                append(tuple(
-                    value if i in visible else MASKED
-                    for i, value in enumerate(values)
-                ))
-        return tuple(delivered)
 
     # ------------------------------------------------------------------
     # the columnar kernel (vectorized column-wise passes)
@@ -258,23 +168,23 @@ class CompiledMask:
         return plan
 
     def apply_rows(self, rows: Sequence[Row],
-                   drop_fully_masked: bool = False,
-                   use_numpy: bool = False) -> Tuple[Tuple, ...]:
+                   drop_fully_masked: bool = False) -> Tuple[Tuple, ...]:
         """Mask one chunk of (already deduplicated) rows columnar-ly.
 
-        The chunk unit of :func:`iter_apply_chunked`; byte-identical
-        to :meth:`apply` over a relation holding exactly ``rows``.
+        The unit of a streamed answer; byte-identical to
+        :func:`apply_mask_columnar` over a relation holding exactly
+        ``rows``.
         """
         if not rows:
             return ()
         return self.apply_columns(
             columns_of(rows, self.ncols), len(rows),
-            drop_fully_masked=drop_fully_masked, use_numpy=use_numpy,
+            drop_fully_masked=drop_fully_masked,
         )
 
     def apply_columns(self, cols: Columns, nrows: int,
-                      drop_fully_masked: bool = False,
-                      use_numpy: bool = False) -> Tuple[Tuple, ...]:
+                      drop_fully_masked: bool = False
+                      ) -> Tuple[Tuple, ...]:
         """Mask ``nrows`` rows given as per-column value sequences."""
         ncols = self.ncols
         if ncols == 0:
@@ -283,7 +193,7 @@ class CompiledMask:
             return () if drop_fully_masked else ((),) * nrows
         if self.covers_all:
             return tuple(zip(*cols))
-        vis = self._match_columns(cols, nrows, use_numpy)
+        vis = self._match_columns(cols, nrows)
         out_cols: List[Sequence[Value]] = []
         for c in range(ncols):
             flags = vis[c]
@@ -308,7 +218,7 @@ class CompiledMask:
         return tuple(delivered)
 
     def _match_columns(
-        self, cols: Columns, nrows: int, use_numpy: bool,
+        self, cols: Columns, nrows: int,
     ) -> List[Optional[bytearray]]:
         """Visibility flags per column (``None`` = always visible)."""
         vis: List[Optional[bytearray]] = [
@@ -316,8 +226,6 @@ class CompiledMask:
             for c in range(self.ncols)
         ]
         plan = self.columnar_plan()
-        numpy = numpy_or_none() if use_numpy else None
-        arrays: Dict[int, Any] = {}
 
         # Constant-signature groups: one hash-probe sweep per group,
         # grouping hit indices by value so each matching mask row runs
@@ -348,13 +256,7 @@ class CompiledMask:
         # pay the expensive pass once per chunk, not once per row.
         eq_cache: Dict[Tuple[Tuple[int, ...], ...], List[int]] = {}
         for row in plan.broadcast:
-            matched_b = None
-            if numpy is not None:
-                matched_b = _broadcast_numpy(row, cols, nrows, numpy,
-                                             arrays)
-            if matched_b is None:
-                matched_b = _broadcast_candidates(row, cols, nrows,
-                                                  eq_cache)
+            matched_b = _broadcast_candidates(row, cols, nrows, eq_cache)
             if matched_b:
                 _mark(row.star_set, matched_b, vis)
         return vis
@@ -396,8 +298,7 @@ def _filter_candidates(row: CompiledRow, cols: Columns,
                        candidates: List[int]) -> List[int]:
     """Narrow candidate row indices by ``row``'s residual checks.
 
-    The columnar counterpart of :meth:`CompiledRow.matches`: equality
-    groups first (cheap tuple compares), then the hoisted interval
+    Equality groups first (cheap tuple compares), then the hoisted interval
     memberships, then — rarely — the full constraint-store residual.
     Each pass is a single comprehension over the surviving indices.
     """
@@ -489,68 +390,6 @@ def _broadcast_candidates(
         # passed for every row of the chunk.
         return range(nrows)
     return candidates
-
-
-def _broadcast_numpy(
-    row: CompiledRow, cols: Columns, nrows: int, numpy: Any,
-    arrays: Dict[int, Any],
-) -> Optional[Sequence[int]]:
-    """The vectorized variant of :func:`_broadcast_candidates`.
-
-    Returns ``None`` when the row is not profitably or safely
-    vectorizable — constraint-store residuals, or comparisons numpy
-    refuses (mixed-type interval bounds) — in which case the caller
-    falls back to the pure pass, whose semantics (including raised
-    ``TypeError`` on genuinely incomparable values) are the reference.
-    """
-    if row.binding_spec is not None:
-        return None
-    if not row.eq_groups and not row.interval_checks:
-        return None
-
-    def arr(position: int) -> Any:
-        cached = arrays.get(position)
-        if cached is None:
-            arrays[position] = cached = numpy.asarray(cols[position])
-        return cached
-
-    try:
-        match = None
-        for group in row.eq_groups:
-            base = arr(group[0])
-            for position in group[1:]:
-                eq = base == arr(position)
-                if eq is False or eq is True:
-                    # dtype clash collapsed to a scalar: every pair
-                    # compares equal/unequal wholesale.
-                    eq = numpy.full(nrows, bool(eq))
-                match = eq if match is None else (match & eq)
-        for position, interval in row.interval_checks:
-            norm = interval.normalized()
-            column = arr(position)
-            if norm.lo is not None:
-                bound = (column > norm.lo) if norm.lo_strict \
-                    else (column >= norm.lo)
-                match = bound if match is None else (match & bound)
-            if norm.hi is not None:
-                bound = (column < norm.hi) if norm.hi_strict \
-                    else (column <= norm.hi)
-                match = bound if match is None else (match & bound)
-            for value in norm.excluded:
-                # Per-value != rather than isin: isin would promote
-                # the excluded values to the column dtype (int 3 to
-                # "3" against a string column), widening the
-                # exclusion beyond the pure path's semantics.
-                bound = column != value
-                if bound is True or bound is False:
-                    bound = numpy.full(nrows, bool(bound))
-                match = bound if match is None else (match & bound)
-    except TypeError:
-        return None
-    if match is None:  # pragma: no cover - guarded above
-        return None
-    result: List[int] = numpy.flatnonzero(match).tolist()
-    return result
 
 
 def _compile_row(meta: MetaTuple, store: ConstraintStore) -> Optional[
@@ -714,7 +553,7 @@ def sql_predicate_view(mask: Mask) -> Optional[MaskPredicateView]:
     as direct positional checks (a variable-to-variable constraint
     mentioning a variable no cell binds); the SQL backends then fall
     back to evaluating the plan in SQL and applying the mask with the
-    Python matchers.  When a view *is* returned, evaluating its
+    columnar kernel.  When a view *is* returned, evaluating its
     predicates is differentially identical to the interpreted
     :meth:`repro.core.mask.Mask.visible_positions`
     (``tests/property/test_backend_parity.py``).
@@ -779,44 +618,19 @@ def compile_mask(mask: Mask) -> CompiledMask:
 
 
 def apply_mask_columnar(compiled: CompiledMask, answer: Relation,
-                        drop_fully_masked: bool = False,
-                        use_numpy: bool = False) -> Tuple[Tuple, ...]:
+                        drop_fully_masked: bool = False
+                        ) -> Tuple[Tuple, ...]:
     """Mask ``answer`` through the columnar kernel.
 
-    Byte-identical to :meth:`CompiledMask.apply` and to the
-    interpreted oracle :meth:`repro.core.mask.Mask.apply`
+    Byte-identical to the interpreted oracle
+    :meth:`repro.core.mask.Mask.apply`
     (``tests/property/test_columnar_relation.py``); only the scan
     order differs — per-column passes over the relation's cached
     :meth:`~repro.algebra.relation.Relation.column_data` view instead
-    of per-row probes.  ``use_numpy`` additionally vectorizes the
-    broadcast passes when numpy is importable (and silently does not
-    when it isn't).
+    of per-row walks over every mask row.
     """
     return compiled.apply_columns(
         answer.column_data(), len(answer.rows),
-        drop_fully_masked=drop_fully_masked, use_numpy=use_numpy,
+        drop_fully_masked=drop_fully_masked,
     )
 
-
-def iter_apply_chunked(
-    compiled: CompiledMask,
-    rows: Iterable[Row],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    drop_fully_masked: bool = False,
-    use_numpy: bool = False,
-) -> Iterator[Tuple[Tuple, ...]]:
-    """Mask a row stream chunk-by-chunk in O(chunk) memory.
-
-    The concatenation of the yielded chunks is byte-identical to
-    masking the materialized stream with :meth:`CompiledMask.apply` /
-    ``Mask.apply`` — for any chunk size, including 1 and sizes beyond
-    the stream length (``tests/property/test_chunked_apply.py``).
-    ``rows`` must already be deduplicated (relation rows and the
-    streaming evaluator's output both are); masking is per-row, so
-    chunk boundaries cannot change any delivered cell.
-    """
-    for chunk in iter_chunks(rows, chunk_size):
-        yield compiled.apply_rows(
-            chunk, drop_fully_masked=drop_fully_masked,
-            use_numpy=use_numpy,
-        )

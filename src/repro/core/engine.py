@@ -7,6 +7,10 @@ the inferred permit statements.  Users direct queries at the actual
 database; views never act as access windows.  The answer half runs
 through a pluggable execution backend (``EngineConfig.backend``, see
 :mod:`repro.backends`); mask derivation is backend-independent.
+``authorize``, ``authorize_batch`` and ``authorize_degraded`` are entry
+points into one pipeline with one fail-closed boundary;
+``authorize_stream`` reuses its derivation and masking steps to deliver
+the same answer chunk by chunk.
 
 Two derived artifacts are memoized, following Section 5's advice that
 derived results "should be stored with the original view definitions,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -51,6 +56,7 @@ from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.answer import AuthorizedAnswer
 from repro.core.cache import (
     CacheStats,
+    CacheToken,
     DerivationCache,
     DerivationCacheLike,
 )
@@ -60,7 +66,7 @@ from repro.core.compiled_mask import (
     compile_mask,
 )
 from repro.core.mask import Mask
-from repro.core.statements import InferredPermit, infer_permits
+from repro.core.statements import infer_permits
 from repro.core.stream import AnswerStream, MaskedChunk
 from repro.errors import (
     BackendUnavailableError,
@@ -215,46 +221,7 @@ class AuthorizationEngine:
         :attr:`AuthorizedAnswer.error` set.  With ``fail_closed=False``
         (development), internal errors re-raise instead.
         """
-        query = self._parse_query(query, "authorize")
-        plan = self._compile(query)
-        try:
-            authorized = self._authorize_plan(user, query, plan)
-        except BackendUnavailableError:
-            # Only reachable with backend_failover off: a vanished
-            # backend is the operator's misconfiguration, not a
-            # denial, so the typed error escapes the boundary.
-            raise
-        except Exception as error:  # the fail-closed boundary
-            if not self.config.fail_closed:
-                raise
-            authorized = self._failed_answer(user, query, plan, error)
-        if self.audit is not None:
-            self.audit.record(authorized)
-        return authorized
-
-    def _authorize_plan(self, user: str, query: Query,
-                        plan: PSJQuery) -> AuthorizedAnswer:
-        """The unprotected authorize path (inside the boundary)."""
-        outcome = self._evaluate(plan)
-        derivation, hit = self._derive_plan(user, plan)
-        return self._assemble(user, query, plan, outcome, derivation,
-                              hit)
-
-    def _evaluate(self, plan: PSJQuery) -> ExecutionOutcome:
-        """Evaluate ``plan`` through the resilient executor.
-
-        The single answer-evaluation site of both authorize paths
-        (full-fidelity and degraded).  The ``engine.evaluate`` fault
-        site fires here, *outside* the executor, and stays fail-closed
-        (it models a failure in the engine itself); the
-        ``backend.execute`` site fires inside the executor's retry
-        loop, so injected backend faults are retried and failed over
-        like real ones.  Only an executor whose safety net is
-        exhausted or disabled lets a failure propagate to the
-        fail-closed boundary.
-        """
-        maybe_fault("engine.evaluate")
-        return self.executor.execute(plan)
+        return self._authorize_many(user, (query,), "authorize")[0]
 
     def authorize_batch(
         self, user: str, queries: Iterable[Union[Query, str]]
@@ -265,8 +232,8 @@ class AuthorizationEngine:
         distinct query, and the mask derivation, answer evaluation,
         masking, and permit inference run once per distinct *canonical
         plan* — repeated or plan-equivalent requests reuse the batch's
-        own memo (and the engine's derivation cache when enabled).  The
-        result is element-wise equal to looping ``authorize`` over
+        own answer (and the engine's derivation cache when enabled).
+        The result is element-wise equal to looping ``authorize`` over
         ``queries``; ``tests/test_derivation_cache.py`` enforces that
         equality.
 
@@ -275,70 +242,116 @@ class AuthorizationEngine:
         element and does not disturb its neighbours (failed elements
         are never memoized, so a transient fault cannot replay).
         """
-        parsed: Dict[str, Query] = {}
-        plans: Dict[Query, PSJQuery] = {}
-        computed: Dict[PlanKey, Tuple[
-            Relation, MaskDerivation, Mask, Tuple[Tuple, ...],
-            Tuple[InferredPermit, ...], int, Optional[str],
-            Optional[str],
-        ]] = {}
+        return self._authorize_many(user, queries, "authorize_batch")
 
+    def authorize_degraded(
+        self, user: str, query: Union[Query, str], floor: int,
+        reason: Optional[str] = None,
+    ) -> AuthorizedAnswer:
+        """Answer ``query`` at degradation-ladder rung ``floor`` or
+        below — the serving layer's admission-control shed path.
+
+        Under overload a server trades fidelity for latency instead of
+        queueing unboundedly: the mask is derived with the (cheaper)
+        configuration of rung ``floor`` (see
+        :func:`repro.metaalgebra.ladder.rung_config`), which by the
+        ladder-subset invariant delivers a subset of the full answer —
+        shedding can only ever *hide* more.  Two refinements keep the
+        cost of shedding low:
+
+        * a live cached full-fidelity derivation is still served (a
+          hit costs almost nothing, so there is nothing to shed);
+        * a shed whose derivation is the empty mask — the
+          ``EMPTY_LEVEL`` floor without a live cache entry, or a rung
+          that failed closed — skips evaluating the query at all.
+
+        Degraded derivations are never stored in the cache, so an
+        overload can never poison post-overload answers.  The same
+        fail-closed contract as :meth:`authorize` applies.
+        """
+        return self._authorize_many(
+            user, (query,), "authorize_degraded", floor, reason
+        )[0]
+
+    def _authorize_many(
+        self, user: str, queries: Iterable[Union[Query, str]], who: str,
+        floor: int = 0, reason: Optional[str] = None,
+    ) -> Tuple[AuthorizedAnswer, ...]:
+        """The pipeline behind every materialized authorize mode.
+
+        ``authorize`` is a batch of one and ``authorize_degraded`` a
+        batch of one with a ladder ``floor``.  Per element: parse and
+        compile (errors raise), then — inside the one fail-closed
+        boundary — derive, evaluate and mask, then exactly one audit
+        record.  An element whose canonical plan already succeeded in
+        this call reuses that whole answer.
+        """
+        floor = max(0, min(floor, EMPTY_LEVEL))
+        shed_reason = reason or f"admission shed to rung {floor}"
+        parsed: Dict[str, Query] = {}
+        done: Dict[PlanKey, AuthorizedAnswer] = {}
         answers: List[AuthorizedAnswer] = []
         for item in queries:
             if isinstance(item, str):
                 query = parsed.get(item)
                 if query is None:
-                    query = self._parse_query(item, "authorize_batch")
-                    parsed[item] = query
+                    query = parsed[item] = self._parse_query(item, who)
             else:
                 query = item
-            plan = plans.get(query)
-            if plan is None:
-                plan = self._compile(query)
-                plans[query] = plan
-
+            plan = self._compile(query)
             try:
                 key = self._plan_key(plan)
-                memo = computed.get(key)
-                if memo is None:
-                    authorized = self._authorize_plan(user, query, plan)
-                    computed[key] = (
-                        authorized.answer, authorized.derivation,
-                        authorized.mask, authorized.delivered,
-                        authorized.permits,
-                        authorized.degradation_level,
-                        authorized.backend_used,
-                        authorized.failover_reason,
+                authorized = done.get(key)
+                if authorized is None:
+                    authorized = self._authorize_plan(
+                        user, query, plan, key, floor, shed_reason
                     )
+                    done[key] = authorized
                 else:
-                    answer, derivation, mask, delivered, permits, \
-                        level, backend_used, failover_reason = memo
-                    authorized = AuthorizedAnswer(
-                        user=user,
-                        query=query,
-                        plan=plan,
-                        answer=answer,
-                        mask=mask,
-                        delivered=delivered,
-                        permits=permits,
-                        derivation=derivation,
-                        cache_hit=True,
-                        degradation_level=level,
-                        backend_used=backend_used,
-                        failover_reason=failover_reason,
-                    )
+                    authorized = replace(authorized, query=query,
+                                         plan=plan, cache_hit=True)
             except BackendUnavailableError:
-                # See authorize(): typed misconfiguration escapes.
+                # Only reachable with backend_failover off: a vanished
+                # backend is the operator's misconfiguration, not a
+                # denial, so the typed error escapes the boundary.
                 raise
             except Exception as error:  # the fail-closed boundary
                 if not self.config.fail_closed:
                     raise
-                authorized = self._failed_answer(user, query, plan,
-                                                 error)
+                authorized = self._failed_answer(user, query, plan, error)
             if self.audit is not None:
                 self.audit.record(authorized)
             answers.append(authorized)
         return tuple(answers)
+
+    def _authorize_plan(self, user: str, query: Query, plan: PSJQuery,
+                        key: PlanKey, floor: int,
+                        shed_reason: str) -> AuthorizedAnswer:
+        """One element of the pipeline (inside the boundary)."""
+        token = self._cache_token(user)
+        derivation, hit = self._derive(user, plan, key, token, floor,
+                                       shed_reason)
+        if floor and derivation.degradation_level >= EMPTY_LEVEL:
+            # A shed with nothing to deliver skips evaluation too.
+            return self._denied_answer(user, query, plan, shed_reason)
+        outcome = self._evaluate(plan)
+        return self._assemble(user, query, plan, outcome, derivation,
+                              hit, key, token)
+
+    def _evaluate(self, plan: PSJQuery) -> ExecutionOutcome:
+        """Evaluate ``plan`` through the resilient executor.
+
+        The single answer-evaluation site of the authorize pipeline.
+        The ``engine.evaluate`` fault site fires here, *outside* the
+        executor, and stays fail-closed (it models a failure in the
+        engine itself); the ``backend.execute`` site fires inside the
+        executor's retry loop, so injected backend faults are retried
+        and failed over like real ones.  Only an executor whose safety
+        net is exhausted or disabled lets a failure propagate to the
+        fail-closed boundary.
+        """
+        maybe_fault("engine.evaluate")
+        return self.executor.execute(plan)
 
     def authorize_stream(
         self, user: str, query: Union[Query, str],
@@ -380,7 +393,9 @@ class AuthorizationEngine:
             else self.config.stream_chunk_size
         )
         try:
-            derivation, hit = self._derive_plan(user, plan)
+            key = self._plan_key(plan)
+            token = self._cache_token(user)
+            derivation, hit = self._derive(user, plan, key, token)
             assert derivation.mask is not None
             if derivation.degradation_level >= EMPTY_LEVEL:
                 stream = self._denied_stream(
@@ -389,7 +404,8 @@ class AuthorizationEngine:
                 )
             else:
                 mask = Mask.from_table(derivation.mask)
-                compiled = self._compiled_for(user, plan, derivation)
+                compiled = self._compiled_for(user, mask, derivation,
+                                              key, token)
                 outcome = self._evaluate_stream(plan, size)
                 stream = AnswerStream(
                     user=user,
@@ -479,21 +495,15 @@ class AuthorizationEngine:
     ) -> MaskedChunk:
         """Mask one (already deduplicated) answer chunk.
 
-        The columnar kernel masks the raw row tuple directly; the
-        fallbacks wrap the chunk in a throwaway
-        :class:`~repro.algebra.relation.Relation` because the
-        interpreted ``Mask.apply`` speaks relations (safe: stream
-        chunks are globally deduplicated, so set semantics cannot
-        drop rows).
+        The columnar kernel masks the raw row tuple directly.  Only
+        when compilation failed does the chunk go to the interpreted
+        ``Mask.apply``, wrapped in a throwaway
+        :class:`~repro.algebra.relation.Relation` (safe: stream chunks
+        are globally deduplicated, so set semantics cannot drop rows).
         """
-        if compiled is not None and self.config.columnar_masks:
-            return compiled.apply_rows(
-                chunk, drop_fully_masked=drop,
-                use_numpy=self.config.columnar_numpy,
-            )
-        relation = Relation(columns, chunk, validate=False)
         if compiled is not None:
-            return compiled.apply(relation, drop_fully_masked=drop)
+            return compiled.apply_rows(chunk, drop_fully_masked=drop)
+        relation = Relation(columns, chunk, validate=False)
         return mask.apply(relation, drop_fully_masked=drop)
 
     def _evaluate_stream(self, plan: PSJQuery,
@@ -546,104 +556,6 @@ class AuthorizationEngine:
             failover_reason=stream.failover_reason,
         )
 
-    def authorize_degraded(
-        self, user: str, query: Union[Query, str], floor: int,
-        reason: Optional[str] = None,
-    ) -> AuthorizedAnswer:
-        """Answer ``query`` at degradation-ladder rung ``floor`` or
-        below — the serving layer's admission-control shed path.
-
-        Under overload a server trades fidelity for latency instead of
-        queueing unboundedly: the mask is derived with the (cheaper)
-        configuration of rung ``floor`` (see
-        :func:`repro.metaalgebra.ladder.rung_config`), which by the
-        ladder-subset invariant delivers a subset of the full answer —
-        shedding can only ever *hide* more.  Two refinements keep the
-        cost of shedding low:
-
-        * a live cached full-fidelity derivation is still served (a
-          hit costs almost nothing, so there is nothing to shed);
-        * ``floor >= EMPTY_LEVEL`` short-circuits to the empty answer
-          without evaluating the query at all.
-
-        Degraded derivations are never stored in the cache, so an
-        overload can never poison post-overload answers.  The same
-        fail-closed contract as :meth:`authorize` applies.
-        """
-        query = self._parse_query(query, "authorize_degraded")
-        plan = self._compile(query)
-        try:
-            authorized = self._authorize_plan_degraded(
-                user, query, plan, floor, reason
-            )
-        except BackendUnavailableError:
-            # See authorize(): typed misconfiguration escapes.
-            raise
-        except Exception as error:  # the fail-closed boundary
-            if not self.config.fail_closed:
-                raise
-            authorized = self._failed_answer(user, query, plan, error)
-        if self.audit is not None:
-            self.audit.record(authorized)
-        return authorized
-
-    def _authorize_plan_degraded(
-        self, user: str, query: Query, plan: PSJQuery, floor: int,
-        reason: Optional[str],
-    ) -> AuthorizedAnswer:
-        """The unprotected shed path (inside the boundary)."""
-        floor = max(0, min(floor, EMPTY_LEVEL))
-        if floor == 0:
-            return self._authorize_plan(user, query, plan)
-        reason = reason or f"admission shed to rung {floor}"
-        derivation, hit = self._derive_degraded(
-            user, plan, floor, reason
-        )
-        if derivation.degradation_level >= EMPTY_LEVEL:
-            # Nothing will be delivered: skip answer evaluation too.
-            return self._denied_answer(user, query, plan, reason)
-        outcome = self._evaluate(plan)
-        return self._assemble(user, query, plan, outcome, derivation,
-                              hit)
-
-    def _derive_degraded(
-        self, user: str, plan: PSJQuery, floor: int, reason: str,
-    ) -> Tuple[MaskDerivation, bool]:
-        """A derivation at rung ``floor`` or below, preferring a live
-        cached full-fidelity entry (which costs nothing to serve)."""
-        cache = self._derivation_cache
-        if cache.enabled:
-            key = self._plan_key(plan)
-            token = self.catalog.cache_token(user)
-            try:
-                cached = cache.get(user, key, token)
-            except ReproError:
-                if not self.config.fail_closed:
-                    raise
-                cached = None
-            if self._valid_cached(cached):
-                assert isinstance(cached, MaskDerivation)
-                return cached, True
-        if floor >= EMPTY_LEVEL:
-            return empty_derivation(
-                plan, self.database.schema, reason=reason
-            ), False
-        rung = rung_config(self.config, floor)
-        assert rung is not None
-        derivation = self._derive_uncached(user, plan, config=rung)
-        # derive_mask_resilient reports the rung relative to the
-        # configuration it was handed; rungs compose by max, so the
-        # absolute level is max(floor, relative) — except the empty
-        # floor, which is already absolute.
-        if derivation.degradation_level < EMPTY_LEVEL:
-            derivation.degradation_level = max(
-                floor, derivation.degradation_level
-            )
-        if derivation.degradation_reason is None:
-            derivation.degradation_reason = reason
-        # Degraded masks are never cached (see _derive_plan).
-        return derivation, False
-
     def prepare(self, query: Union[Query, str]) -> Query:
         """Parse and plan ``query`` without touching any data.
 
@@ -680,7 +592,8 @@ class AuthorizationEngine:
         """Derive the mask only (no data touched) — with full trace."""
         query = self._parse_query(query, "derive")
         plan = self._compile(query)
-        derivation, _ = self._derive_plan(user, plan)
+        derivation, _ = self._derive(user, plan, self._plan_key(plan),
+                                     self._cache_token(user))
         return derivation
 
     def trace(self, user: str,
@@ -689,16 +602,14 @@ class AuthorizationEngine:
 
         The streaming product never materializes the rows Section 4.1
         would prune, so a streamed derivation cannot print the paper's
-        pre-prune product table.  ``trace`` re-derives with
-        ``streaming_product`` off — bypassing the derivation cache,
-        which is keyed for the engine's own configuration — purely for
-        explanation output; the final mask is identical either way.
+        pre-prune product table.  ``trace`` re-derives through
+        ``derive_mask(..., materialize=True)`` — bypassing the
+        derivation cache — purely for explanation output; the final
+        mask is identical either way.
         """
         query = self._parse_query(query, "trace")
         plan = self._compile(query)
-        return self._derive_uncached(
-            user, plan, config=self.config.but(streaming_product=False)
-        )
+        return self._derive_uncached(user, plan, materialize=True)
 
     # ------------------------------------------------------------------
     # internals
@@ -747,30 +658,28 @@ class AuthorizationEngine:
                 self._plan_key_cache.popitem(last=False)
         return key
 
+    def _cache_token(self, user: str) -> Optional[CacheToken]:
+        """The catalog token guarding ``user``'s cache entries, or
+        ``None`` when the derivation cache is off."""
+        if not self._derivation_cache.enabled:
+            return None
+        return self.catalog.cache_token(user)
+
     def _assemble(self, user: str, query: Query, plan: PSJQuery,
                   outcome: ExecutionOutcome,
-                  derivation: MaskDerivation,
-                  hit: bool) -> AuthorizedAnswer:
+                  derivation: MaskDerivation, hit: bool,
+                  key: PlanKey, token: Optional[CacheToken],
+                  ) -> AuthorizedAnswer:
         assert derivation.mask is not None
         answer = outcome.answer
         mask = Mask.from_table(derivation.mask)
-        compiled = self._compiled_for(user, plan, derivation)
-        if compiled is not None and self.config.columnar_masks:
-            delivered = apply_mask_columnar(
-                compiled, answer,
-                drop_fully_masked=self.config.drop_fully_masked_rows,
-                use_numpy=self.config.columnar_numpy,
-            )
-        elif compiled is not None:
-            delivered = compiled.apply(
-                answer,
-                drop_fully_masked=self.config.drop_fully_masked_rows,
-            )
+        compiled = self._compiled_for(user, mask, derivation, key, token)
+        drop = self.config.drop_fully_masked_rows
+        if compiled is not None:
+            delivered = apply_mask_columnar(compiled, answer,
+                                            drop_fully_masked=drop)
         else:
-            delivered = mask.apply(
-                answer,
-                drop_fully_masked=self.config.drop_fully_masked_rows,
-            )
+            delivered = mask.apply(answer, drop_fully_masked=drop)
         return AuthorizedAnswer(
             user=user,
             query=query,
@@ -794,10 +703,11 @@ class AuthorizationEngine:
             failover_reason=outcome.failover_reason,
         )
 
-    def _compiled_for(self, user: str, plan: PSJQuery,
-                      derivation: MaskDerivation
+    def _compiled_for(self, user: str, mask: Mask,
+                      derivation: MaskDerivation, key: PlanKey,
+                      token: Optional[CacheToken],
                       ) -> Optional[CompiledMask]:
-        """The compiled application kernel for ``derivation``'s mask.
+        """The columnar kernel's compiled form of ``mask``.
 
         Amortized exactly like the derivation itself: the compiled mask
         is attached to the derivation's cache entry under the same
@@ -806,28 +716,25 @@ class AuthorizationEngine:
         or compilation — degrades to the interpreted ``Mask.apply``
         (``None``), which is always correct; dev mode re-raises.
         """
-        if not self.config.compiled_masks or derivation.mask is None:
-            return None
         cache = self._derivation_cache
-        key = token = None
-        if cache.enabled and derivation.degradation_level == 0:
+        if derivation.degradation_level != 0:
+            token = None  # degraded derivations are never cached
+        if token is not None:
             try:
-                key = self._plan_key(plan)
-                token = self.catalog.cache_token(user)
                 compiled = cache.get_compiled(user, key, token)
             except ReproError:
                 if not self.config.fail_closed:
                     raise
-                key = token = compiled = None
+                token = compiled = None
             if isinstance(compiled, CompiledMask):
                 return compiled
         try:
-            compiled = compile_mask(Mask.from_table(derivation.mask))
+            compiled = compile_mask(mask)
         except ReproError:
             if not self.config.fail_closed:
                 raise
             return None
-        if key is not None and token is not None:
+        if token is not None:
             try:
                 cache.put_compiled(user, key, token, compiled)
             except ReproError:
@@ -872,33 +779,53 @@ class AuthorizationEngine:
             error=reason,
         )
 
-    def _derive_plan(self, user: str,
-                     plan: PSJQuery) -> Tuple[MaskDerivation, bool]:
-        """Cached mask derivation; the bool reports a cache hit.
+    def _derive(
+        self, user: str, plan: PSJQuery, key: PlanKey,
+        token: Optional[CacheToken], floor: int = 0,
+        reason: Optional[str] = None,
+    ) -> Tuple[MaskDerivation, bool]:
+        """The mask derivation at ladder rung ``floor`` or below; the
+        bool reports a cache hit.
 
         The cache is treated as an untrusted accelerator: a lookup
         failure degrades to a fresh derivation, a stored entry that is
         no longer a well-formed derivation is discarded as a miss, and
-        a store failure loses only future hits — never the answer.
+        a store failure loses only future hits — never the answer.  A
+        live full-fidelity entry is served at any floor (a hit costs
+        nothing to shed), but only full-fidelity derivations are
+        stored: a degraded mask is transient by design, and caching
+        one would keep serving it after the overload passed.
         """
         cache = self._derivation_cache
-        if not cache.enabled:
-            return self._derive_uncached(user, plan), False
-        key = self._plan_key(plan)
-        token = self.catalog.cache_token(user)
-        try:
-            cached = cache.get(user, key, token)
-        except ReproError:
-            if not self.config.fail_closed:
-                raise
-            cached = None
-        if self._valid_cached(cached):
-            assert isinstance(cached, MaskDerivation)
-            return cached, True
-        derivation = self._derive_uncached(user, plan)
-        if derivation.degradation_level == 0:
-            # Degraded masks are transient by design: caching one would
-            # keep serving the shrunken mask after the overload passed.
+        if token is not None:
+            try:
+                cached = cache.get(user, key, token)
+            except ReproError:
+                if not self.config.fail_closed:
+                    raise
+                cached = None
+            if self._valid_cached(cached):
+                assert isinstance(cached, MaskDerivation)
+                return cached, True
+        if floor >= EMPTY_LEVEL:
+            return empty_derivation(
+                plan, self.database.schema, reason=reason
+            ), False
+        rung = rung_config(self.config, floor)
+        assert rung is not None
+        derivation = self._derive_uncached(user, plan, config=rung)
+        if floor:
+            # derive_mask_resilient reports the rung relative to the
+            # configuration it was handed; rungs compose by max, so the
+            # absolute level is max(floor, relative) — except the empty
+            # floor, which is already absolute.
+            if derivation.degradation_level < EMPTY_LEVEL:
+                derivation.degradation_level = max(
+                    floor, derivation.degradation_level
+                )
+            if derivation.degradation_reason is None:
+                derivation.degradation_reason = reason
+        elif token is not None and derivation.degradation_level == 0:
             try:
                 cache.put(user, key, token, derivation)
             except ReproError:
@@ -917,6 +844,7 @@ class AuthorizationEngine:
     def _derive_uncached(
         self, user: str, plan: PSJQuery,
         config: Optional[EngineConfig] = None,
+        materialize: bool = False,
     ) -> MaskDerivation:
         config = config if config is not None else self.config
         excuse = None
@@ -952,6 +880,7 @@ class AuthorizationEngine:
             config,
             excuse=excuse,
             selfjoin_pool=selfjoin_pool,
+            materialize=materialize,
         )
 
     # ------------------------------------------------------------------

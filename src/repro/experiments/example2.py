@@ -48,14 +48,14 @@ def run() -> ExperimentResult:
         title="Example 2 — Klein: engineers of very large projects",
         paper_artifact="Section 5, Example 2",
     )
-    # streaming_product off: the paper's product table includes rows
-    # the dangling-reference pruning later removes, and the streaming
-    # product never materializes those.
+    # The paper's product table includes rows the dangling-reference
+    # pruning later removes, and the streaming product never
+    # materializes those: the tables come from the materializing trace.
     display_engine = build_paper_engine(
-        DEFAULT_CONFIG.but(self_joins=False, streaming_product=False)
+        DEFAULT_CONFIG.but(self_joins=False)
     )
     answer = display_engine.authorize("Klein", EXAMPLE_2_QUERY)
-    derivation = answer.derivation
+    derivation = display_engine.trace("Klein", EXAMPLE_2_QUERY)
 
     result.add_section("Query", EXAMPLE_2_QUERY)
     for relation, labels in (

@@ -104,6 +104,7 @@ def derive_mask_resilient(
     excuse: Optional[ExcusePredicate] = None,
     selfjoin_pool: Optional[Dict[str, Tuple[MetaTuple, ...]]] = None,
     clock: Callable[[], float] = time.monotonic,
+    materialize: bool = False,
 ) -> MaskDerivation:
     """Derive the mask, degrading down the ladder instead of failing.
 
@@ -113,6 +114,7 @@ def derive_mask_resilient(
     genuine faults, or for budget exhaustion when the ladder is
     disabled; with the ladder enabled, budget exhaustion always
     degrades, because it is defined behaviour rather than a failure.
+    ``materialize`` is passed through to :func:`derive_mask`.
     """
     levels = range(EMPTY_LEVEL if config.degradation_ladder else 1)
     reason: Optional[str] = None
@@ -126,6 +128,7 @@ def derive_mask_resilient(
                 excuse=excuse if rung.existential_closure else None,
                 selfjoin_pool=selfjoin_pool if rung.self_joins else None,
                 budget=budget,
+                materialize=materialize,
             )
             derivation.degradation_level = level
             derivation.degradation_reason = reason

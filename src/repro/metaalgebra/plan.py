@@ -79,6 +79,8 @@ class MaskDerivation:
     degradation_reason: Optional[str] = None
     #: True when the product stage streamed (pruning and dedupe folded
     #: into the combination loop, pre-prune rows never materialized).
+    #: A ``materialize=True`` display derivation leaves it False, as
+    #: does the empty mask, which runs no product at all.
     streamed: bool = False
 
 
@@ -91,6 +93,7 @@ def derive_mask(
     excuse: Optional[ExcusePredicate] = None,
     selfjoin_pool: Optional[Dict[str, Tuple[MetaTuple, ...]]] = None,
     budget: Optional[Budget] = None,
+    materialize: bool = False,
 ) -> MaskDerivation:
     """Derive the permission mask for ``user``'s query ``psj``.
 
@@ -104,6 +107,12 @@ def derive_mask(
             :class:`~repro.errors.BudgetExceededError` or
             :class:`~repro.errors.DerivationTimeout` for the
             degradation ladder to catch.
+        materialize: build the whole product and prune it afterwards
+            (``meta_product`` then ``prune_dangling``) instead of
+            streaming it.  The mask is identical either way
+            (``tests/property/test_meta_product_streaming.py``); only
+            the display trace (``AuthorizationEngine.trace``) asks for
+            this, to show the paper's pre-prune product table.
     """
     maybe_fault("plan", budget)
     relations = sorted(psj.relation_names())
@@ -149,7 +158,7 @@ def derive_mask(
         for o in psj.occurrences
     ]
 
-    if config.streaming_product:
+    if not materialize:
         # Hot path: the dangling check and the provenance-aware dedupe
         # run inside the combination loop, so rows Section 4.1 would
         # prune are never materialized (and never metered).
@@ -179,7 +188,7 @@ def derive_mask(
         selfjoin_added=selfjoin_added,
         raw_product=product.deduped(),  # display form, provenance-blind
         pruned_product=product,
-        streamed=config.streaming_product,
+        streamed=not materialize,
     )
 
     current = prune_unsatisfiable(current, budget=budget)

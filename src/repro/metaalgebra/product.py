@@ -28,8 +28,8 @@ Two implementations share that combination loop:
   provenance-aware dedupe are interleaved into the loop and rows
   destined for pruning are never materialized.  The output is
   identical to materialize-then-prune
-  (``tests/property/test_streaming_product.py``), but ``max_mask_rows``
-  only meters rows that actually survive.
+  (``tests/property/test_meta_product_streaming.py``), but
+  ``max_mask_rows`` only meters rows that actually survive.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ harness records those as rejections and keeps the op/answer alignment
 the parity check needs.
 
 ``tests/integration/test_chaos_soak.py`` runs a short soak on every
-PR and a 10^4-request soak nightly, writing ``BENCH_PR8.json``.
+PR and a 10^4-request soak nightly, writing its report to the
+gitignored ``.bench_out/chaos_soak.json``.
 """
 
 from __future__ import annotations

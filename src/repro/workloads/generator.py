@@ -161,8 +161,8 @@ class WorkloadGenerator:
 
         The chunk-streamed sibling of :meth:`iter_rows`, for drivers
         that feed 10^7-row instances straight into a chunked consumer
-        (the scale benchmarks, ``iter_apply_chunked``): only one chunk
-        of rows exists at a time.  Row values are identical to
+        (the scale benchmarks, ``CompiledMask.apply_rows``): only one
+        chunk of rows exists at a time.  Row values are identical to
         ``iter_rows`` with the same generator state — this is a
         regrouping, not a different sampler.
         """

@@ -1,24 +1,21 @@
-"""Differential property tests: the columnar kernel ≡ the row paths.
+"""Differential property tests: the columnar kernel ≡ the oracle.
 
-PR 9's columnar data plane must change *nothing* observable:
+The columnar data plane must change *nothing* observable:
 
-* ``apply_mask_columnar`` (and the underlying
-  ``CompiledMask.apply_rows``) must be byte-identical to the
-  interpreted oracle ``Mask.apply`` and to the PR 4 row kernel
-  ``CompiledMask.apply`` — same cells, same row order, same
-  ``drop_fully_masked`` behaviour — with the numpy broadcast path on
-  or off (soundlint SL005 pins this suite to that pair);
+* ``apply_mask_columnar`` must be byte-identical to the interpreted
+  oracle ``Mask.apply`` — same cells, same row order, same
+  ``drop_fully_masked`` behaviour (soundlint SL005 pins this suite to
+  that pair);
 * the :class:`Relation` columnar view (``column_data`` /
   ``from_columns`` / ``column_values``) must round-trip rows exactly;
 * ``Interval.membership`` (the hoisted closure the kernel evaluates
   per column) must agree with ``Interval.contains`` pointwise;
-* an engine with ``columnar_masks`` on and one with it off must
-  deliver byte-identical answers end to end.
+* end to end, the engine's columnar delivery must equal ``Mask.apply``
+  of the same mask over the same answer.
 """
 
 from hypothesis import given, strategies as st
 
-from repro.algebra.columnar import have_numpy
 from repro.algebra.relation import Column, Relation
 from repro.algebra.types import INTEGER
 from repro.config import DEFAULT_CONFIG
@@ -34,31 +31,16 @@ from tests.property.test_compiled_mask import (
     seeds,
 )
 
-# Exercise the numpy broadcast path only where the library exists; the
-# pure path is always exercised (use_numpy=False).
-numpy_flags = (
-    st.booleans() if have_numpy() else st.just(False)
-)
-
 
 class TestColumnarKernelMatchesOracles:
     @SLOW
-    @given(masks_and_answers(), st.booleans(), numpy_flags)
-    def test_columnar_matches_interpreted_apply(self, case, drop, numpy):
+    @given(masks_and_answers(), st.booleans())
+    def test_columnar_matches_interpreted_apply(self, case, drop):
         mask, answer = case
         compiled = compile_mask(mask)
         assert apply_mask_columnar(
-            compiled, answer, drop_fully_masked=drop, use_numpy=numpy,
+            compiled, answer, drop_fully_masked=drop,
         ) == mask.apply(answer, drop_fully_masked=drop)
-
-    @SLOW
-    @given(masks_and_answers(), st.booleans(), numpy_flags)
-    def test_apply_rows_matches_row_kernel(self, case, drop, numpy):
-        mask, answer = case
-        compiled = compile_mask(mask)
-        assert compiled.apply_rows(
-            answer.rows, drop_fully_masked=drop, use_numpy=numpy,
-        ) == compiled.apply(answer, drop_fully_masked=drop)
 
     @SLOW
     @given(masks_and_answers())
@@ -109,27 +91,26 @@ class TestMembershipMatchesContains:
         assert interval.membership()(probe) == interval.contains(probe)
 
 
+
 class TestEndToEnd:
     @SLOW
-    @given(seeds, numpy_flags)
-    def test_engines_agree_on_workloads(self, seed, numpy):
+    @given(seeds, st.booleans())
+    def test_engines_agree_on_workloads(self, seed, drop):
+        # The engine masks with the columnar kernel; the interpreted
+        # oracle, applied row by row to the same mask and answer, must
+        # deliver the same rows in the same order.
         generator = WorkloadGenerator(seed)
         spec = WorkloadSpec(seed=seed, relations=3, views=3, users=2,
                             rows_per_relation=8)
         workload = generator.workload(spec)
-        columnar_engine = AuthorizationEngine(
+        engine = AuthorizationEngine(
             workload.database, workload.catalog,
-            DEFAULT_CONFIG.but(columnar_masks=True,
-                               columnar_numpy=numpy),
-        )
-        row_engine = AuthorizationEngine(
-            workload.database, workload.catalog,
-            DEFAULT_CONFIG.but(columnar_masks=False),
+            DEFAULT_CONFIG.but(drop_fully_masked_rows=drop),
         )
         for _ in range(2):
             query = generator.query(spec, workload.database.schema)
             for user in workload.users:
-                fast = columnar_engine.authorize(user, query)
-                slow = row_engine.authorize(user, query)
-                assert fast.delivered == slow.delivered, \
-                    f"seed={seed} user={user} query={query}"
+                answer = engine.authorize(user, query)
+                assert answer.delivered == answer.mask.apply(
+                    answer.answer, drop_fully_masked=drop,
+                ), f"seed={seed} drop={drop} user={user} query={query}"

@@ -1,29 +1,31 @@
 """Differential property tests: compiled masks ≡ the interpreted oracle.
 
-The compiled matcher (``repro.core.compiled_mask``) must be
-*differentially identical* to ``Mask.visible_positions`` /
-``Mask.apply`` — same visible cells, same delivered bytes, same
+A mask compiled by ``repro.core.compiled_mask.compile_mask`` and
+applied by the columnar kernel must be *differentially identical* to
+the interpreted ``Mask.apply`` — same delivered bytes, same
 ``drop_fully_masked`` behaviour — over masks with blanks, constants,
 repeated variables, interval constraints and variable-to-variable
 COMPARISON relations.  The interpreted path stays in the tree as the
 reference oracle precisely so this suite can say "identical", not
-"close".
-
-A second group checks the property end to end: an engine with
-``compiled_masks`` on and one with it off deliver byte-identical
-answers on generated workloads.
+"close".  ``TestEndToEnd`` runs the same comparison through the
+engine: a mask that fails to compile is delivered by the interpreted
+fallback, and must deliver what the compiled one does.  The check of
+every engine delivery mode against the oracle lives in
+``tests/property/test_engine_properties.py``.
 """
 
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.relation import Column, Relation
 from repro.algebra.types import INTEGER
-from repro.config import DEFAULT_CONFIG
 from repro.core.compiled_mask import compile_mask
 from repro.core.engine import AuthorizationEngine
 from repro.core.mask import Mask
+from repro.errors import ReproError
 from repro.meta.cell import MetaCell
 from repro.meta.metatuple import MetaTuple
 from repro.metaalgebra.table import MaskRow
@@ -108,21 +110,11 @@ def masks_and_answers(draw):
 
 class TestCompiledMatchesInterpreted:
     @SLOW
-    @given(masks_and_answers())
-    def test_visible_positions_agree(self, case):
-        mask, answer = case
-        compiled = compile_mask(mask)
-        for values in answer.rows:
-            assert compiled.visible_positions(values) \
-                == mask.visible_positions(values), \
-                f"mask={[str(r) for r in mask.rows]} values={values}"
-
-    @SLOW
     @given(masks_and_answers(), st.booleans())
     def test_apply_is_byte_identical(self, case, drop):
         mask, answer = case
         compiled = compile_mask(mask)
-        assert compiled.apply(answer, drop_fully_masked=drop) \
+        assert compiled.apply_rows(answer.rows, drop_fully_masked=drop) \
             == mask.apply(answer, drop_fully_masked=drop)
 
     @SLOW
@@ -132,12 +124,26 @@ class TestCompiledMatchesInterpreted:
         # the matcher holds no per-application state.
         mask, answer = case
         compiled = compile_mask(mask)
-        first = compiled.apply(answer)
-        assert compiled.apply(answer) == first
-        assert compile_mask(mask).apply(answer) == first
+        first = compiled.apply_rows(answer.rows)
+        assert compiled.apply_rows(answer.rows) == first
+        assert compile_mask(mask).apply_rows(answer.rows) == first
 
 
 seeds = st.integers(min_value=0, max_value=10_000)
+
+
+@contextmanager
+def masks_never_compile():
+    """Make every mask compilation in the engine fail.
+
+    The engine then delivers through its interpreted ``Mask.apply``
+    fallback.  Yields the patched ``compile_mask`` so a test can check
+    that compilation was attempted, i.e. that the fallback ran.
+    """
+    failure = ReproError("mask compilation unavailable")
+    with mock.patch("repro.core.engine.compile_mask",
+                    side_effect=failure) as patched:
+        yield patched
 
 
 class TestEndToEnd:
@@ -148,19 +154,17 @@ class TestEndToEnd:
         spec = WorkloadSpec(seed=seed, relations=3, views=3, users=2,
                             rows_per_relation=8)
         workload = generator.workload(spec)
-        compiled_engine = AuthorizationEngine(
-            workload.database, workload.catalog,
-            DEFAULT_CONFIG.but(compiled_masks=True),
-        )
-        interpreted_engine = AuthorizationEngine(
-            workload.database, workload.catalog,
-            DEFAULT_CONFIG.but(compiled_masks=False),
-        )
+        compiled_engine = AuthorizationEngine(workload.database,
+                                              workload.catalog)
+        interpreted_engine = AuthorizationEngine(workload.database,
+                                                 workload.catalog)
         for _ in range(2):
             query = generator.query(spec, workload.database.schema)
             for user in workload.users:
                 fast = compiled_engine.authorize(user, query)
-                slow = interpreted_engine.authorize(user, query)
+                with masks_never_compile() as compile_attempts:
+                    slow = interpreted_engine.authorize(user, query)
+                assert compile_attempts.called
                 assert fast.delivered == slow.delivered, \
                     f"seed={seed} user={user} query={query}"
                 assert [str(p) for p in fast.permits] \

@@ -6,6 +6,10 @@ These are the heavyweight checks:
 * **non-interference** — the semantic content of the paper's Theorem:
   on randomly generated workloads, a mutation invisible to a user's
   permitted views never changes what that user receives;
+* **one oracle for every delivery mode** — ``authorize``, each
+  ``authorize_batch`` element, ``authorize_degraded`` at floor 0 and
+  the concatenated ``authorize_stream`` chunks all deliver exactly
+  what Figure 2 gives when run the slow way;
 * **evaluator agreement** — naive and optimized data evaluation agree
   on random conjunctive queries;
 * **delivery shape** — delivered rows always align with the raw answer
@@ -23,7 +27,8 @@ from repro.baselines.oracle import check_non_interference
 from repro.calculus.to_algebra import compile_query
 from repro.config import BASE_MODEL_CONFIG, DEFAULT_CONFIG
 from repro.core.engine import AuthorizationEngine
-from repro.core.mask import MASKED
+from repro.core.mask import MASKED, Mask
+from repro.metaalgebra.plan import derive_mask
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 SLOW = settings(
@@ -70,6 +75,60 @@ class TestNonInterference:
                 config=BASE_MODEL_CONFIG,
             )
             assert ok, f"seed={seed}: {message}"
+
+
+class TestDeliveryModesMatchOracle:
+    """Every delivery mode against Figure 2 run the slow way.
+
+    The oracle evaluates the answer by naive product-select-project
+    (``evaluate_naive``), derives the mask through the materializing
+    product (``derive_mask(..., materialize=True)``) and applies it
+    with the interpreted ``Mask.apply``.  Each mode must deliver
+    exactly those rows, in that order, with and without
+    ``drop_fully_masked_rows``.
+    """
+
+    @SLOW
+    @given(seeds, st.booleans())
+    def test_every_mode_delivers_the_oracle_rows(self, seed, drop):
+        generator, spec, workload = make_workload(seed)
+        config = DEFAULT_CONFIG.but(drop_fully_masked_rows=drop)
+        engine = AuthorizationEngine(workload.database, workload.catalog,
+                                     config)
+        schema = workload.database.schema
+        queries = [generator.query(spec, schema) for _ in range(2)]
+        for user in workload.users:
+            # Each query twice: repeats are served from the batch memo.
+            batch = engine.authorize_batch(user, queries + queries)
+            for index, query in enumerate(queries):
+                plan = compile_query(query, schema)
+                mask = derive_mask(plan, schema, workload.catalog, user,
+                                   config, materialize=True).mask
+                want = Mask.from_table(mask).apply(
+                    evaluate_naive(plan, workload.database),
+                    drop_fully_masked=drop,
+                )
+                got = {
+                    "authorize": engine.authorize(user, query),
+                    "batch": batch[index],
+                    "batch repeat": batch[index + len(queries)],
+                    "degraded floor 0": engine.authorize_degraded(
+                        user, query, floor=0),
+                }
+                delivered = {
+                    mode: answer.delivered for mode, answer in got.items()
+                }
+                for size in (1, 3, None):
+                    stream = engine.authorize_stream(user, query,
+                                                     chunk_size=size)
+                    delivered[f"stream chunk_size={size}"] = tuple(
+                        row for chunk in stream for row in chunk
+                    )
+                for mode, rows in delivered.items():
+                    assert rows == want, (
+                        f"seed={seed} drop={drop} user={user} "
+                        f"mode={mode} query={query}"
+                    )
 
 
 class TestEvaluatorAgreement:

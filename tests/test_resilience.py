@@ -214,16 +214,13 @@ class TestBudgetDegradation:
         # dangling-reference pruning never count against the budget.
         # Klein's Example 2 product has 15 materialized rows but only
         # one survivor, so a cap of 3 degrades the materializing
-        # engine while the streaming one stays at full fidelity —
-        # with an identical mask.
-        streaming = build_paper_engine(
-            DEFAULT_CONFIG.but(max_mask_rows=3)
-        ).authorize("Klein", EXAMPLE_2_QUERY)
-        materializing = build_paper_engine(
-            DEFAULT_CONFIG.but(max_mask_rows=3, streaming_product=False)
-        ).authorize("Klein", EXAMPLE_2_QUERY)
+        # derivation (the display path behind trace()) while the
+        # streaming one stays at full fidelity — with an identical mask.
+        engine = build_paper_engine(DEFAULT_CONFIG.but(max_mask_rows=3))
+        streaming = engine.authorize("Klein", EXAMPLE_2_QUERY)
+        materializing = engine.trace("Klein", EXAMPLE_2_QUERY)
         assert not streaming.degraded
-        assert materializing.degraded
+        assert materializing.degradation_level > 0
         unbudgeted = build_paper_engine().authorize(
             "Klein", EXAMPLE_2_QUERY
         )
@@ -377,6 +374,26 @@ class TestFailClosed:
         assert visible_cells(answers[1]) == visible_cells(
             build_paper_engine().authorize("Brown", EXAMPLE_1_QUERY)
         )
+
+    def test_batch_repeats_keep_the_error(self):
+        # A repeated plan reuses the whole first answer: when the
+        # ladder failed closed for the first element, the repeat must
+        # carry the same error (and audit it), not pass for a clean
+        # answer that merely happens to sit at the empty rung.
+        audit = AuditLog()
+        engine = build_paper_engine()
+        engine.audit = audit
+        with inject({"product": "raise"}):
+            answers = engine.authorize_batch(
+                "Brown", [EXAMPLE_1_QUERY, EXAMPLE_1_QUERY]
+            )
+        first, repeat = answers
+        assert first.error is not None
+        assert "FaultInjected" in first.error
+        assert repeat.error == first.error
+        assert repeat.degradation_level == EMPTY_LEVEL
+        assert repeat.cache_hit
+        assert [r.error for r in audit.records()] == [first.error] * 2
 
     def test_audit_records_degradation_and_failure(self):
         audit = AuditLog()

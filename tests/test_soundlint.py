@@ -112,7 +112,7 @@ def test_sl001_exempts_registered_boundary(tmp_path: Path) -> None:
     root = make_tree(tmp_path, {
         "src/repro/core/engine.py": """
             class AuthorizationEngine:
-                def authorize(self, user: str, query: str) -> str:
+                def _authorize_many(self, user: str, query: str) -> str:
                     try:
                         return self._inner(user, query)
                     except Exception as error:
@@ -128,7 +128,7 @@ def test_sl001_same_method_name_elsewhere_is_not_exempt(
     root = make_tree(tmp_path, {
         "src/repro/core/other.py": """
             class AuthorizationEngine:
-                def authorize(self, user: str, query: str) -> str:
+                def _authorize_many(self, user: str, query: str) -> str:
                     try:
                         return self._inner(user, query)
                     except Exception:
@@ -296,10 +296,6 @@ ORACLE_TREE = {
         def apply_mask_columnar(compiled: object,
                                 answer: object) -> object:
             return answer
-
-        def iter_apply_chunked(compiled: object,
-                               rows: object) -> object:
-            return rows
     """,
     "src/repro/core/mask.py": """
         class Mask:
@@ -311,9 +307,6 @@ ORACLE_TREE = {
     """,
     "tests/property/test_columnar_relation.py": """
         # differential: apply_mask_columnar vs Mask.apply
-    """,
-    "tests/property/test_chunked_apply.py": """
-        # differential: iter_apply_chunked vs Mask.apply
     """,
 }
 
@@ -337,9 +330,9 @@ def test_sl005_flags_vanished_oracle(tmp_path: Path) -> None:
     files["src/repro/core/mask.py"] = "class Mask:\n    pass\n"
     root = make_tree(tmp_path, files)
     report = lint(root, "src", select=["SL005"])
-    # All three registered fast paths in the module share the
-    # Mask.apply oracle, so all three report it vanished.
-    assert rules_hit(report) == ["SL005"] * 3
+    # Both registered fast paths in the module share the Mask.apply
+    # oracle, so both report it vanished.
+    assert rules_hit(report) == ["SL005"] * 2
     assert all("oracle" in v.message for v in report.violations)
 
 

@@ -8,7 +8,8 @@ faults, stream-budget exhaustion, consumer abandonment — must fail the
 *remainder* closed while keeping what was already delivered on the
 books.  The kernel-level identities backing these tests live in
 ``tests/property/test_columnar_relation.py`` and
-``tests/property/test_chunked_apply.py``.
+``tests/property/test_chunked_apply.py``; the oracle differential over
+every delivery mode lives in ``tests/property/test_engine_properties.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.workloads.paperdb import (
     EXAMPLE_3_QUERY,
     build_paper_engine,
 )
+
+from tests.property.test_compiled_mask import masks_never_compile
 
 EXAMPLES = (EXAMPLE_1_QUERY, EXAMPLE_2_QUERY, EXAMPLE_3_QUERY)
 
@@ -61,14 +64,20 @@ class TestParityWithAuthorize:
         assert drain(stream) == answer.delivered == (("bq-45", "Acme"),)
 
     def test_parity_without_compiled_masks(self):
-        engine = build_paper_engine(
-            DEFAULT_CONFIG.but(compiled_masks=False)
-        )
+        # A mask that fails to compile streams through the interpreted
+        # Mask.apply fallback, chunk by chunk.
+        engine = build_paper_engine()
         reference = build_paper_engine().authorize(
             "Brown", EXAMPLE_1_QUERY
         )
-        stream = engine.authorize_stream("Brown", EXAMPLE_1_QUERY)
-        assert drain(stream) == reference.delivered
+        for chunk_size in (None, 1):
+            with masks_never_compile() as compile_attempts:
+                stream = engine.authorize_stream(
+                    "Brown", EXAMPLE_1_QUERY, chunk_size=chunk_size
+                )
+                assert drain(stream) == reference.delivered
+            assert compile_attempts.called
+            assert stream.error is None
 
     def test_chunk_size_defaults_to_config(self):
         engine = build_paper_engine(
