@@ -16,9 +16,9 @@ collapses onto a handful of distinct plans; the serial baseline pays
 full evaluation per request.
 
 Every number — sustained QPS, p50/p95/p99 latency, batching and
-admission telemetry — lands in ``BENCH_PR6.json`` at the repository
-root so the claimed speedup is machine-checkable alongside the
-committed copy.
+admission telemetry — lands in the gitignored
+``.bench_out/bench_serving.json``; the committed ``BENCH_PR6.json`` is
+the historical record of the first run.
 """
 
 from __future__ import annotations
@@ -61,15 +61,17 @@ COST_CAP_MS = 20.0
 SPEC = WorkloadSpec(seed=6, relations=3, views=4, users=USER_POOL,
                     rows_per_relation=96, max_view_relations=3)
 
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR6.json"
+RESULTS_PATH = (Path(__file__).resolve().parents[1] / ".bench_out"
+                / "bench_serving.json")
 
 
 def _record(section: str, payload: dict) -> None:
-    """Merge ``payload`` under ``section`` in ``BENCH_PR6.json``."""
+    """Merge ``payload`` under ``section`` in the results file."""
     results = {}
     if RESULTS_PATH.exists():
         results = json.loads(RESULTS_PATH.read_text())
     results[section] = payload
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Compiling PSJ plans — and mask predicates — into SQL.
+"""Compiling PSJ plans — and compiled masks — into SQL.
 
 The paper fixes *what* to evaluate (a product–selection–projection
 plan and the mask A' derived alongside it) but not *where*.  The
@@ -13,13 +13,19 @@ Two translations are provided:
   ``DISTINCT`` matches :class:`~repro.algebra.relation.Relation`'s set
   semantics.
 * :func:`masked_plan_to_sql` — wraps the plan SELECT in an outer query
-  that applies a :class:`MaskPredicateView` (the SQL-extractable form
-  of a mask, built by
-  :func:`repro.core.compiled_mask.sql_predicate_view`): each output
-  column becomes ``CASE WHEN <visible> THEN column END``, so masking
-  happens *inside* the query engine and fully masked cells come back
-  as SQL ``NULL`` (the stored domains never produce NULL, so the
-  backend can translate NULL to the ``MASKED`` sentinel unambiguously).
+  that applies a compiled mask: each output column becomes
+  ``CASE WHEN <visible> THEN column END``, so masking happens *inside*
+  the query engine and fully masked cells come back as SQL ``NULL``
+  (the stored domains never produce NULL, so the backend can translate
+  NULL to the ``MASKED`` sentinel unambiguously).
+
+The mask is not lowered here.  :func:`repro.core.compiled_mask.compile_mask`
+lowers each mask row once into positional checks; the columnar kernel
+runs those checks in Python and this module renders the very same
+checks as SQL, which is possible exactly when no row keeps a residual
+constraint-store check (``CompiledMask.pushdown``).  ``repro.algebra``
+sits below ``repro.core``, so the compiled mask is read by its
+attributes rather than imported.
 
 The emitted SQL sticks to a portable SQL-92 subset — quoted
 identifiers, inline escaped literals, ``CASE``, ``<>`` — shared by the
@@ -30,8 +36,7 @@ output columns are aliased ``a0 .. a{k-1}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import Any, List, Tuple
 
 from repro.algebra.expression import Col, Operand, PSJQuery
 from repro.algebra.schema import DatabaseSchema
@@ -150,68 +155,6 @@ def plan_to_sql(plan: PSJQuery, schema: DatabaseSchema) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskPredicateRow:
-    """One mask row in SQL-evaluable form.
-
-    All members reference *output column positions* of the plan the
-    mask applies to.  The row admits an answer tuple when every
-    constant check, equality group, interval check, and relation check
-    holds; its ``star_set`` columns are then visible for that tuple.
-
-    Attributes:
-        star_set: output positions this row delivers when it matches.
-        const_checks: ``(position, value)`` equality checks from
-            constant cells.
-        eq_groups: positions that must all hold one value (repeated
-            variables).
-        interval_checks: ``(position, interval)`` — the value at
-            ``position`` must lie in ``interval`` (already carved out
-            of the row's constraint store).
-        relation_checks: ``(left, op, right)`` comparisons between two
-            bound positions (variable-to-variable constraints whose
-            variables all appear in the row's cells).
-    """
-
-    star_set: FrozenSet[int]
-    const_checks: Tuple[Tuple[int, Value], ...]
-    eq_groups: Tuple[Tuple[int, ...], ...]
-    interval_checks: Tuple[Tuple[int, Interval], ...]
-    relation_checks: Tuple[Tuple[int, Comparator, int], ...]
-
-    @property
-    def is_unconditional(self) -> bool:
-        """True when the row matches every answer tuple."""
-        return not (self.const_checks or self.eq_groups
-                    or self.interval_checks or self.relation_checks)
-
-
-@dataclass(frozen=True)
-class MaskPredicateView:
-    """A whole mask as SQL-evaluable predicates.
-
-    Produced by :func:`repro.core.compiled_mask.sql_predicate_view`
-    when (and only when) every row's semantics can be expressed as
-    direct positional checks — differentially identical to the
-    interpreted :meth:`repro.core.mask.Mask.visible_positions`.
-
-    Attributes:
-        ncols: arity of the masked answer.
-        always_visible: output positions delivered for every tuple
-            (the union of unconditional rows' stars).
-        rows: the conditional rows.
-    """
-
-    ncols: int
-    always_visible: FrozenSet[int]
-    rows: Tuple[MaskPredicateRow, ...]
-
-    @property
-    def covers_all(self) -> bool:
-        """Every column of every tuple is visible."""
-        return self.ncols > 0 and len(self.always_visible) == self.ncols
-
-
 def _interval_sql(ref: str, interval: Interval) -> List[str]:
     """Conjuncts asserting ``ref`` lies in ``interval``."""
     norm = interval.normalized()
@@ -227,9 +170,13 @@ def _interval_sql(ref: str, interval: Interval) -> List[str]:
     return conjuncts
 
 
-def row_predicate_sql(row: MaskPredicateRow,
-                      refs: Tuple[str, ...]) -> str:
-    """The SQL condition under which ``row`` matches a tuple."""
+def row_predicate_sql(row: Any, refs: Tuple[str, ...]) -> str:
+    """The SQL condition under which compiled mask row ``row`` matches.
+
+    ``row`` is a :class:`repro.core.compiled_mask.CompiledRow` without
+    a residual: its constant checks, equality groups, interval checks
+    and relation checks are the row's whole semantics.
+    """
     conjuncts: List[str] = []
     for position, value in row.const_checks:
         conjuncts.append(f"{refs[position]} = {sql_literal(value)}")
@@ -249,8 +196,7 @@ def row_predicate_sql(row: MaskPredicateRow,
     return "(" + " AND ".join(conjuncts) + ")"
 
 
-def visibility_sql(view: MaskPredicateView,
-                   refs: Tuple[str, ...]) -> Tuple[str, ...]:
+def visibility_sql(mask: Any, refs: Tuple[str, ...]) -> Tuple[str, ...]:
     """Per-column SQL conditions: is output column ``j`` visible?
 
     Column ``j`` is visible for a tuple iff ``j`` is always visible or
@@ -258,13 +204,13 @@ def visibility_sql(view: MaskPredicateView,
     ``Mask.visible_positions``, as a disjunction.
     """
     conditions: List[str] = []
-    for j in range(view.ncols):
-        if j in view.always_visible:
+    for j in range(mask.ncols):
+        if j in mask.always_visible:
             conditions.append(SQL_TRUE)
             continue
         matches = [
             row_predicate_sql(row, refs)
-            for row in view.rows if j in row.star_set
+            for row in mask.rows if j in row.star_set
         ]
         if not matches:
             conditions.append(SQL_FALSE)
@@ -276,31 +222,41 @@ def visibility_sql(view: MaskPredicateView,
 
 
 def masked_plan_to_sql(plan: PSJQuery, schema: DatabaseSchema,
-                       view: MaskPredicateView,
-                       drop_fully_masked: bool = False) -> str:
-    """Compile ``plan`` masked by ``view`` into one SQL statement.
+                       mask: Any, drop_fully_masked: bool = False) -> str:
+    """Compile ``plan`` masked by compiled ``mask`` into one statement.
 
-    The plan SELECT becomes a subquery ``q``; the outer SELECT turns
-    each output column into ``CASE WHEN <visible_j> THEN a{j} END``,
+    ``mask`` is a :class:`repro.core.compiled_mask.CompiledMask`.  The
+    plan SELECT becomes a subquery ``q``; the outer SELECT turns each
+    output column into ``CASE WHEN <visible_j> THEN a{j} END``,
     yielding NULL exactly where the mask withholds a cell.  With
     ``drop_fully_masked`` the outer WHERE keeps only tuples some row
     (or an always-visible column) delivers at least one cell of.
+
+    Raises:
+        BackendError: when the mask's arity differs from the plan's
+            output, or some row needs a residual store check
+            (``mask.pushdown`` is false) that SQL cannot express.
     """
-    if len(plan.output) != view.ncols:
+    if len(plan.output) != mask.ncols:
         raise BackendError(
-            f"mask arity {view.ncols} does not match plan output "
+            f"mask arity {mask.ncols} does not match plan output "
             f"arity {len(plan.output)}"
         )
+    if not mask.pushdown:
+        raise BackendError(
+            "mask has a row with a residual store check; it cannot be "
+            "pushed into SQL"
+        )
     inner = plan_to_sql(plan, schema)
-    refs = tuple(output_name(j) for j in range(view.ncols))
-    visible = visibility_sql(view, refs)
+    refs = tuple(output_name(j) for j in range(mask.ncols))
+    visible = visibility_sql(mask, refs)
     select = ", ".join(
         f"CASE WHEN {condition} THEN {ref} END AS m{j}"
         for j, (condition, ref) in enumerate(zip(visible, refs))
     )
     sql = f"SELECT {select} FROM ({inner}) AS q"
-    if drop_fully_masked and not view.always_visible:
-        matches = [row_predicate_sql(row, refs) for row in view.rows]
+    if drop_fully_masked and not mask.always_visible:
+        matches = [row_predicate_sql(row, refs) for row in mask.rows]
         any_visible = " OR ".join(matches) if matches else SQL_FALSE
         sql += f" WHERE {any_visible}"
     return sql

@@ -100,7 +100,12 @@ NONDETERMINISTIC_IMPORTS: FrozenSet[str] = frozenset({
 
 @dataclass(frozen=True)
 class OracleEntry:
-    """A fast path's reference implementation and differential test."""
+    """A registered path's oracle and the test that pins the two.
+
+    The one entry shape of :data:`FAST_PATHS` (SL005),
+    :data:`EXECUTION_BACKENDS` (SL008) and :data:`FAILOVER_PATHS`
+    (SL009).
+    """
 
     oracle: str  # dotted qualname of the reference implementation
     test: str    # repo-relative path of the differential test module
@@ -151,24 +156,16 @@ FAST_PATH_MODULES: FrozenSet[str] = frozenset({
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BackendEntry:
-    """An execution backend's oracle and differential parity suite."""
-
-    oracle: str  # dotted qualname of the oracle backend class
-    test: str    # repo-relative path of the parity test module
-
-
 #: Every non-oracle execution backend must appear here, paired with
 #: the oracle backend it must stay sorted-row identical to and the
 #: differential suite that enforces the identity (the backend analogue
 #: of :data:`FAST_PATHS`).
-EXECUTION_BACKENDS: Dict[str, BackendEntry] = {
-    "repro.backends.sqlite.SQLiteBackend": BackendEntry(
+EXECUTION_BACKENDS: Dict[str, OracleEntry] = {
+    "repro.backends.sqlite.SQLiteBackend": OracleEntry(
         oracle="repro.backends.python.PythonBackend",
         test="tests/property/test_backend_parity.py",
     ),
-    "repro.backends.duckdb.DuckDBBackend": BackendEntry(
+    "repro.backends.duckdb.DuckDBBackend": OracleEntry(
         oracle="repro.backends.python.PythonBackend",
         test="tests/property/test_backend_parity.py",
     ),
@@ -189,22 +186,14 @@ BACKEND_MODULE_PREFIX = "repro.backends."
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FailoverEntry:
-    """A failover path's oracle target and its parity suite."""
-
-    oracle: str  # dotted qualname of the oracle backend class
-    test: str    # repo-relative path of the parity test module
-
-
 #: Every retry/breaker/failover wrapper that can re-route evaluation
 #: away from the configured backend must appear here, paired with the
 #: oracle backend it re-routes *to* and the differential suite proving
 #: the re-routed answers match.  Failing over to anything but the
 #: registered oracle would turn an availability mechanism into a
 #: soundness hole; this registry (checked by rule SL009) forbids it.
-FAILOVER_PATHS: Dict[str, FailoverEntry] = {
-    "repro.resilience.failover.ResilientExecutor": FailoverEntry(
+FAILOVER_PATHS: Dict[str, OracleEntry] = {
+    "repro.resilience.failover.ResilientExecutor": OracleEntry(
         oracle="repro.backends.python.PythonBackend",
         test="tests/test_failover.py",
     ),

@@ -15,42 +15,15 @@ both.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
-from repro.analysis.framework import Context, SourceFile, Violation, rule
+from repro.analysis.framework import Context, Violation, rule
 from repro.analysis.registry import (
     BACKEND_EXEMPT,
     BACKEND_MODULE_PREFIX,
     EXECUTION_BACKENDS,
 )
-
-
-def _resolve(context: Context, dotted: str) -> Tuple[
-        Optional[SourceFile], Optional[ast.AST]]:
-    """Find the def/class a dotted qualname points at."""
-    parts = dotted.split(".")
-    for split in range(len(parts) - 1, 0, -1):
-        module = ".".join(parts[:split])
-        source = context.by_module(module)
-        if source is None:
-            continue
-        remainder = parts[split:]
-        node: ast.AST = source.tree
-        for name in remainder:
-            body = getattr(node, "body", [])
-            node_next = None
-            for child in body:
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef,
-                                      ast.ClassDef)) \
-                        and child.name == name:
-                    node_next = child
-                    break
-            if node_next is None:
-                return source, None
-            node = node_next
-        return source, node
-    return None, None
+from repro.analysis.rules.oracles import check_registered
 
 
 @rule(
@@ -61,44 +34,11 @@ def _resolve(context: Context, dotted: str) -> Tuple[
     scope="project",
 )
 def check_backends(context: Context) -> Iterator[Violation]:
-    for backend, entry in EXECUTION_BACKENDS.items():
-        source, node = _resolve(context, backend)
-        if source is None:
-            # The backend's module is outside this run's paths
-            # (e.g. a rule-fixture tree); nothing to check against.
-            continue
-        if node is None:
-            yield Violation(
-                "SL008", source.relative, 1,
-                f"registered backend {backend!r} no longer exists; "
-                f"update repro.analysis.registry.EXECUTION_BACKENDS",
-            )
-            continue
-        oracle_source, oracle_node = _resolve(context, entry.oracle)
-        if oracle_source is None or oracle_node is None:
-            yield Violation(
-                "SL008", source.relative, getattr(node, "lineno", 1),
-                f"oracle {entry.oracle!r} for backend {backend!r} does "
-                f"not exist; a backend without a live oracle cannot be "
-                f"differentially tested",
-            )
-        test_path = context.root / entry.test
-        if not test_path.is_file():
-            yield Violation(
-                "SL008", source.relative, getattr(node, "lineno", 1),
-                f"parity test {entry.test!r} for backend {backend!r} "
-                f"is missing",
-            )
-            continue
-        text = test_path.read_text(encoding="utf-8")
-        backend_leaf = backend.rsplit(".", 1)[-1]
-        oracle_leaf = entry.oracle.rsplit(".", 1)[-1]
-        if backend_leaf not in text or oracle_leaf not in text:
-            yield Violation(
-                "SL008", source.relative, getattr(node, "lineno", 1),
-                f"parity test {entry.test!r} does not exercise both "
-                f"{backend_leaf!r} and its oracle {oracle_leaf!r}",
-            )
+    yield from check_registered(
+        context, "SL008", EXECUTION_BACKENDS, "EXECUTION_BACKENDS",
+        "backend", "parity test",
+        "a backend without a live oracle cannot be differentially tested",
+    )
 
     # Discovery: backend-shaped public classes must be registered.
     for source in context.sources:

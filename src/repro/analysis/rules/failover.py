@@ -29,7 +29,7 @@ from repro.analysis.registry import (
     FAILOVER_MODULE_PREFIX,
     FAILOVER_PATHS,
 )
-from repro.analysis.rules.backends import _resolve
+from repro.analysis.rules.oracles import check_registered
 
 
 def _assigns_marker(cls: ast.ClassDef) -> bool:
@@ -59,44 +59,11 @@ def _assigns_marker(cls: ast.ClassDef) -> bool:
     scope="project",
 )
 def check_failover(context: Context) -> Iterator[Violation]:
-    for path, entry in FAILOVER_PATHS.items():
-        source, node = _resolve(context, path)
-        if source is None:
-            # The module is outside this run's paths (rule-fixture
-            # trees); nothing to check against.
-            continue
-        if node is None:
-            yield Violation(
-                "SL009", source.relative, 1,
-                f"registered failover path {path!r} no longer exists; "
-                f"update repro.analysis.registry.FAILOVER_PATHS",
-            )
-            continue
-        oracle_source, oracle_node = _resolve(context, entry.oracle)
-        if oracle_source is None or oracle_node is None:
-            yield Violation(
-                "SL009", source.relative, getattr(node, "lineno", 1),
-                f"oracle {entry.oracle!r} for failover path {path!r} "
-                f"does not exist; failing over to a dead target is a "
-                f"soundness hole",
-            )
-        test_path = context.root / entry.test
-        if not test_path.is_file():
-            yield Violation(
-                "SL009", source.relative, getattr(node, "lineno", 1),
-                f"parity test {entry.test!r} for failover path "
-                f"{path!r} is missing",
-            )
-            continue
-        text = test_path.read_text(encoding="utf-8")
-        path_leaf = path.rsplit(".", 1)[-1]
-        oracle_leaf = entry.oracle.rsplit(".", 1)[-1]
-        if path_leaf not in text or oracle_leaf not in text:
-            yield Violation(
-                "SL009", source.relative, getattr(node, "lineno", 1),
-                f"parity test {entry.test!r} does not exercise both "
-                f"{path_leaf!r} and its oracle {oracle_leaf!r}",
-            )
+    yield from check_registered(
+        context, "SL009", FAILOVER_PATHS, "FAILOVER_PATHS",
+        "failover path", "parity test",
+        "failing over to a dead target is a soundness hole",
+    )
 
     # Discovery: failover-shaped classes must be registered.
     for source in context.sources:

@@ -12,13 +12,14 @@ and (c) name a differential test file that exists and exercises both.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.analysis.framework import Context, SourceFile, Violation, rule
 from repro.analysis.registry import (
     FAST_PATH_MARKERS,
     FAST_PATH_MODULES,
     FAST_PATHS,
+    OracleEntry,
 )
 
 
@@ -50,12 +51,57 @@ def _resolve(context: Context, dotted: str) -> Tuple[
     return None, None
 
 
-def _anchor(context: Context, module: str) -> Violation:
-    """A fallback violation location for registry-level problems."""
-    source = context.by_module(module)
-    if source is not None:
-        return Violation("SL005", source.relative, 1, "")
-    return Violation("SL005", "src", 1, "")
+def check_registered(
+    context: Context, rule_id: str, registry: Dict[str, OracleEntry],
+    registry_name: str, kind: str, test_kind: str, dead_oracle: str,
+) -> Iterator[Violation]:
+    """The registry half shared by SL005, SL008 and SL009.
+
+    Every entry of ``registry`` (named ``registry_name`` in
+    :mod:`repro.analysis.registry`) must exist, name an oracle that
+    exists, and name a test file that exists and mentions both.
+    ``kind`` and ``test_kind`` word the messages ("fast path",
+    "differential test"); ``dead_oracle`` says why a vanished oracle
+    matters.
+    """
+    for name, entry in registry.items():
+        source, node = _resolve(context, name)
+        if source is None:
+            # The entry's module is outside this run's paths (e.g. a
+            # rule-fixture tree); nothing to check against.
+            continue
+        if node is None:
+            yield Violation(
+                rule_id, source.relative, 1,
+                f"registered {kind} {name!r} no longer exists; "
+                f"update repro.analysis.registry.{registry_name}",
+            )
+            continue
+        line = getattr(node, "lineno", 1)
+        oracle_source, oracle_node = _resolve(context, entry.oracle)
+        if oracle_source is None or oracle_node is None:
+            yield Violation(
+                rule_id, source.relative, line,
+                f"oracle {entry.oracle!r} for {kind} {name!r} does not "
+                f"exist; {dead_oracle}",
+            )
+        test_path = context.root / entry.test
+        if not test_path.is_file():
+            yield Violation(
+                rule_id, source.relative, line,
+                f"{test_kind} {entry.test!r} for {kind} {name!r} is "
+                f"missing",
+            )
+            continue
+        text = test_path.read_text(encoding="utf-8")
+        leaf = name.rsplit(".", 1)[-1]
+        oracle_leaf = entry.oracle.rsplit(".", 1)[-1]
+        if leaf not in text or oracle_leaf not in text:
+            yield Violation(
+                rule_id, source.relative, line,
+                f"{test_kind} {entry.test!r} does not exercise both "
+                f"{leaf!r} and its oracle {oracle_leaf!r}",
+            )
 
 
 def _is_fast_path(module: str, name: str) -> bool:
@@ -74,44 +120,12 @@ def _is_fast_path(module: str, name: str) -> bool:
     scope="project",
 )
 def check_oracles(context: Context) -> Iterator[Violation]:
-    for fast_path, entry in FAST_PATHS.items():
-        source, node = _resolve(context, fast_path)
-        if source is None:
-            # The fast path's module is outside this run's paths
-            # (e.g. a rule-fixture tree); nothing to check against.
-            continue
-        if node is None:
-            yield Violation(
-                "SL005", source.relative, 1,
-                f"registered fast path {fast_path!r} no longer exists; "
-                f"update repro.analysis.registry.FAST_PATHS",
-            )
-            continue
-        oracle_source, oracle_node = _resolve(context, entry.oracle)
-        if oracle_source is None or oracle_node is None:
-            yield Violation(
-                "SL005", source.relative, getattr(node, "lineno", 1),
-                f"oracle {entry.oracle!r} for fast path {fast_path!r} "
-                f"does not exist; a fast path without a live reference "
-                f"implementation cannot be differentially tested",
-            )
-        test_path = context.root / entry.test
-        if not test_path.is_file():
-            yield Violation(
-                "SL005", source.relative, getattr(node, "lineno", 1),
-                f"differential test {entry.test!r} for fast path "
-                f"{fast_path!r} is missing",
-            )
-            continue
-        text = test_path.read_text(encoding="utf-8")
-        fast_leaf = fast_path.rsplit(".", 1)[-1]
-        oracle_leaf = entry.oracle.rsplit(".", 1)[-1]
-        if fast_leaf not in text or oracle_leaf not in text:
-            yield Violation(
-                "SL005", source.relative, getattr(node, "lineno", 1),
-                f"differential test {entry.test!r} does not exercise "
-                f"both {fast_leaf!r} and its oracle {oracle_leaf!r}",
-            )
+    yield from check_registered(
+        context, "SL005", FAST_PATHS, "FAST_PATHS", "fast path",
+        "differential test",
+        "a fast path without a live reference implementation cannot be "
+        "differentially tested",
+    )
 
     # Discovery: fast-path-shaped public functions must be registered.
     for source in context.sources:

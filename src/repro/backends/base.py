@@ -101,9 +101,9 @@ class ExecutionBackend(Protocol):
         Returns exactly what ``mask.apply(execute(plan), ...)`` would
         (up to row order): answer tuples with withheld cells replaced
         by the ``MASKED`` sentinel, fully masked tuples optionally
-        dropped.  SQL backends push SQL-extractable masks into the
-        statement itself (``CASE WHEN`` per column) and fall back to
-        the columnar kernel over ``compiled`` when given, else the
-        interpreted ``mask``, for the rest.
+        dropped.  SQL backends compile ``mask`` when no ``compiled``
+        form is given, push it into the statement itself (``CASE
+        WHEN`` per column) when ``compiled.pushdown`` holds, and mask
+        with the columnar kernel otherwise.
         """
         ...

@@ -47,7 +47,7 @@ from repro.algebra.to_sql import (
 from repro.core.compiled_mask import (
     CompiledMask,
     apply_mask_columnar,
-    sql_predicate_view,
+    compile_mask,
 )
 from repro.core.mask import MASKED, Mask
 from repro.errors import BackendError
@@ -200,36 +200,28 @@ class _SQLBackend:
     ) -> Tuple[Tuple, ...]:
         """Run ``plan`` with ``mask`` pushed into the SQL statement.
 
-        When the mask is SQL-extractable
-        (:func:`repro.core.compiled_mask.sql_predicate_view`), masking
-        happens inside the query engine: one statement computes the
-        answer and nulls out hidden cells, and the only Python-side
-        work is translating NULL back to the ``MASKED`` sentinel
-        (sound because the stored domains never produce NULL).  A mask
-        with inexpressible rows falls back to evaluating the plan in
-        SQL and masking with the columnar kernel (or, without a
-        ``compiled`` mask, the interpreted ``Mask.apply``).
+        ``compiled`` is the mask's one lowering
+        (:func:`repro.core.compiled_mask.compile_mask`), compiled here
+        when not given.  When no row keeps a residual store check
+        (``compiled.pushdown``), masking happens inside the query
+        engine: one statement computes the answer and nulls out hidden
+        cells, and the only Python-side work is translating NULL back
+        to the ``MASKED`` sentinel (sound because the stored domains
+        never produce NULL).  Otherwise — and for a mask that shows
+        every cell — the plan is evaluated in SQL and masked with the
+        columnar kernel.
         """
         database = self._require_database()
         plan.validate(database.schema)
-        view = sql_predicate_view(mask)
-        if view is None:
-            answer = self.execute(plan)
-            if compiled is not None:
-                return apply_mask_columnar(
-                    compiled, answer, drop_fully_masked=drop_fully_masked,
-                )
-            return mask.apply(
-                answer, drop_fully_masked=drop_fully_masked
+        if compiled is None:
+            compiled = compile_mask(mask)
+        if compiled.covers_all or not compiled.pushdown:
+            return apply_mask_columnar(
+                compiled, self.execute(plan),
+                drop_fully_masked=drop_fully_masked,
             )
-        if view.covers_all:
-            # Every cell of every tuple is visible (the
-            # ``covers_everything`` fast path): the plan's own rows
-            # are the delivered rows.
-            answer = self.execute(plan)
-            return tuple(tuple(values) for values in answer.rows)
         sql = masked_plan_to_sql(
-            plan, database.schema, view,
+            plan, database.schema, compiled,
             drop_fully_masked=drop_fully_masked,
         )
         with self._lock:

@@ -10,7 +10,7 @@ answer, the mask, the derivation trace, and delivery statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algebra.expression import PSJQuery
 from repro.algebra.relation import Relation
@@ -37,6 +37,43 @@ class DeliveryStats:
         if self.total_cells == 0:
             return 1.0
         return self.delivered_cells / self.total_cells
+
+    @classmethod
+    def of(cls, rows: Sequence[Tuple], arity: int) -> "DeliveryStats":
+        """Tally delivered ``rows`` of width ``arity``.
+
+        A row is full with no ``MASKED`` cell, masked when every cell
+        is ``MASKED`` (a zero-width row counts as full), else partial.
+        """
+        delivered_cells = full_rows = partial_rows = masked_rows = 0
+        for row in rows:
+            hidden = row.count(MASKED)
+            delivered_cells += arity - hidden
+            if hidden == 0:
+                full_rows += 1
+            elif hidden == arity:
+                masked_rows += 1
+            else:
+                partial_rows += 1
+        return cls(
+            total_rows=len(rows),
+            total_cells=len(rows) * arity,
+            delivered_cells=delivered_cells,
+            full_rows=full_rows,
+            partial_rows=partial_rows,
+            masked_rows=masked_rows,
+        )
+
+    def __add__(self, other: "DeliveryStats") -> "DeliveryStats":
+        """The tally of two deliveries taken together."""
+        return DeliveryStats(
+            total_rows=self.total_rows + other.total_rows,
+            total_cells=self.total_cells + other.total_cells,
+            delivered_cells=self.delivered_cells + other.delivered_cells,
+            full_rows=self.full_rows + other.full_rows,
+            partial_rows=self.partial_rows + other.partial_rows,
+            masked_rows=self.masked_rows + other.masked_rows,
+        )
 
 
 @dataclass(frozen=True)
@@ -104,27 +141,7 @@ class AuthorizedAnswer:
         )
 
     def stats(self) -> DeliveryStats:
-        total_rows = len(self.delivered)
-        arity = self.answer.arity
-        delivered_cells = 0
-        full_rows = partial_rows = masked_rows = 0
-        for row in self.delivered:
-            visible = sum(1 for value in row if value is not MASKED)
-            delivered_cells += visible
-            if visible == arity:
-                full_rows += 1
-            elif visible == 0:
-                masked_rows += 1
-            else:
-                partial_rows += 1
-        return DeliveryStats(
-            total_rows=total_rows,
-            total_cells=total_rows * arity,
-            delivered_cells=delivered_cells,
-            full_rows=full_rows,
-            partial_rows=partial_rows,
-            masked_rows=masked_rows,
-        )
+        return DeliveryStats.of(self.delivered, self.answer.arity)
 
     def render(self) -> str:
         """The delivered relation plus permit statements, as text."""

@@ -331,9 +331,13 @@ class AuthorizationEngine:
         token = self._cache_token(user)
         derivation, hit = self._derive(user, plan, key, token, floor,
                                        shed_reason)
-        if floor and derivation.degradation_level >= EMPTY_LEVEL:
-            # A shed with nothing to deliver skips evaluation too.
-            return self._denied_answer(user, query, plan, shed_reason)
+        if derivation.degradation_level >= EMPTY_LEVEL:
+            # The empty mask delivers nothing at any floor, so it is a
+            # denial and skips evaluation: a shed reports its reason, a
+            # ladder that failed closed reports why it failed.
+            reason = (shed_reason if floor
+                      else derivation.degradation_reason or "denied")
+            return self._denied_answer(user, query, plan, reason)
         outcome = self._evaluate(plan)
         return self._assemble(user, query, plan, outcome, derivation,
                               hit, key, token)
@@ -691,14 +695,6 @@ class AuthorizationEngine:
             derivation=derivation,
             cache_hit=hit,
             degradation_level=derivation.degradation_level,
-            # A mask that fell all the way to empty is a fail-closed
-            # denial; partial rungs are reported via degradation_level
-            # alone.
-            error=(
-                derivation.degradation_reason
-                if derivation.degradation_level == EMPTY_LEVEL
-                else None
-            ),
             backend_used=outcome.backend_used,
             failover_reason=outcome.failover_reason,
         )

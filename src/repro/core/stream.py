@@ -26,10 +26,9 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 from repro.algebra.expression import PSJQuery
-from repro.algebra.relation import Row
 from repro.calculus.ast import Query
 from repro.core.answer import DeliveryStats
-from repro.core.mask import MASKED, Mask
+from repro.core.mask import Mask
 from repro.core.statements import InferredPermit
 
 #: One delivered chunk: answer tuples whose hidden cells hold the
@@ -58,9 +57,8 @@ class AnswerStream:
     __slots__ = (
         "user", "query", "plan", "mask", "permits", "chunk_size",
         "cache_hit", "degradation_level", "backend_used",
-        "failover_reason", "error", "finished", "arity",
-        "total_rows", "delivered_cells", "full_rows", "partial_rows",
-        "masked_rows", "_chunks",
+        "failover_reason", "error", "finished", "arity", "_stats",
+        "_chunks",
     )
 
     def __init__(
@@ -95,11 +93,7 @@ class AnswerStream:
         #: True once the stream ended (exhausted, failed, or closed);
         #: statistics are final from then on.
         self.finished = error is not None
-        self.total_rows = 0
-        self.delivered_cells = 0
-        self.full_rows = 0
-        self.partial_rows = 0
-        self.masked_rows = 0
+        self._stats = DeliveryStats.of((), arity)
         #: The chunk source, attached by the engine after construction
         #: (the generator closes over this instance for accounting).
         self._chunks: Iterator[MaskedChunk] = iter(())
@@ -137,17 +131,7 @@ class AnswerStream:
 
     def account(self, chunk: MaskedChunk) -> None:
         """Fold one delivered chunk into the running statistics."""
-        arity = self.arity
-        self.total_rows += len(chunk)
-        for row in chunk:
-            hidden = row.count(MASKED)
-            self.delivered_cells += arity - hidden
-            if hidden == 0:
-                self.full_rows += 1
-            elif hidden == arity and arity > 0:
-                self.masked_rows += 1
-            else:
-                self.partial_rows += 1
+        self._stats += DeliveryStats.of(chunk, self.arity)
 
     def stats(self) -> DeliveryStats:
         """Delivery statistics over the chunks consumed *so far*.
@@ -155,14 +139,12 @@ class AnswerStream:
         Identical to ``AuthorizedAnswer.stats()`` for the same request
         once the stream is exhausted.
         """
-        return DeliveryStats(
-            total_rows=self.total_rows,
-            total_cells=self.total_rows * self.arity,
-            delivered_cells=self.delivered_cells,
-            full_rows=self.full_rows,
-            partial_rows=self.partial_rows,
-            masked_rows=self.masked_rows,
-        )
+        return self._stats
+
+    @property
+    def total_rows(self) -> int:
+        """Rows delivered so far."""
+        return self._stats.total_rows
 
     @property
     def failed_over(self) -> bool:

@@ -32,7 +32,7 @@ from repro.backends.python import PythonBackend
 from repro.backends.sqlite import SQLiteBackend
 from repro.calculus.to_algebra import compile_query
 from repro.config import DEFAULT_CONFIG
-from repro.core.compiled_mask import compile_mask, sql_predicate_view
+from repro.core.compiled_mask import compile_mask
 from repro.core.engine import AuthorizationEngine
 from repro.core.mask import Mask
 from repro.metaalgebra.ladder import EMPTY_LEVEL
@@ -132,7 +132,7 @@ class TestMaskedParity:
                 )
                 assert sorted_rows(expect) == sorted_rows(got), (
                     f"seed={seed} user={user} drop={drop} "
-                    f"pushdown={sql_predicate_view(mask) is not None} "
+                    f"pushdown={compile_mask(mask).pushdown} "
                     f"plan={plan.describe(schema)}"
                 )
 

@@ -18,13 +18,14 @@ import os
 from contextlib import contextmanager
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.relation import Column, Relation
 from repro.algebra.types import INTEGER
 from repro.core.compiled_mask import compile_mask
 from repro.core.engine import AuthorizationEngine
-from repro.core.mask import Mask
+from repro.core.mask import MASKED, Mask
 from repro.errors import ReproError
 from repro.meta.cell import MetaCell
 from repro.meta.metatuple import MetaTuple
@@ -127,6 +128,87 @@ class TestCompiledMatchesInterpreted:
         first = compiled.apply_rows(answer.rows)
         assert compiled.apply_rows(answer.rows) == first
         assert compile_mask(mask).apply_rows(answer.rows) == first
+
+
+# ----------------------------------------------------------------------
+# the two kinds of relation row the one lowering tells apart
+# ----------------------------------------------------------------------
+
+TRIPLE = tuple(Column(f"C{i}", INTEGER) for i in range(3))
+ALL_TRIPLES = Relation(
+    TRIPLE,
+    [(a, b, c) for a in range(5) for b in range(5) for c in range(5)],
+    validate=False,
+)
+
+
+def one_row_mask(cells, store):
+    meta = MetaTuple(frozenset({"V"}), tuple(cells), frozenset())
+    return Mask(TRIPLE, (MaskRow(meta, store),))
+
+
+x1, x2 = MetaCell.variable("x1", True), MetaCell.variable("x2", True)
+
+RELATION_ROWS = {
+    # (a) every variable of the relation is bound by a cell: the
+    # relation lowers to a direct comparison of two columns, which the
+    # kernel and SQL evaluate alike.
+    "bound, no constants": (
+        one_row_mask((x1, x2, MetaCell.blank(True)),
+                     ConstraintStore.empty()
+                     .relate("x1", Comparator.LT, "x2")),
+        True,
+    ),
+    "bound, with a constant": (
+        one_row_mask((x1, x2, MetaCell.constant(3)),
+                     ConstraintStore.empty()
+                     .relate("x1", Comparator.NE, "x2")
+                     .constrain("x2", Comparator.LE, 3)),
+        True,
+    ),
+    # (b) the relation reaches x3, which no cell binds: the row keeps
+    # its existential reading (x1 < x3 < 2 for some x3, i.e. x1 < 2)
+    # as a residual store check, which SQL cannot express.
+    "unbound, no constants": (
+        one_row_mask((x1, MetaCell.blank(True), MetaCell.blank()),
+                     ConstraintStore.empty()
+                     .relate("x1", Comparator.LT, "x3")
+                     .constrain("x3", Comparator.LT, 2)),
+        False,
+    ),
+    "unbound, with a constant": (
+        one_row_mask((x1, MetaCell.constant(1), x2),
+                     ConstraintStore.empty()
+                     .relate("x1", Comparator.LT, "x3")
+                     .relate("x2", Comparator.GE, "x3")),
+        False,
+    ),
+}
+
+
+class TestRelationRows:
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("name", sorted(RELATION_ROWS))
+    def test_kernel_matches_oracle(self, name, drop):
+        mask, _ = RELATION_ROWS[name]
+        # The relation decides visibility: some cells show, some don't.
+        cells = [cell for row in mask.apply(ALL_TRIPLES) for cell in row]
+        assert 0 < sum(cell is not MASKED for cell in cells) < len(cells)
+        expect = mask.apply(ALL_TRIPLES, drop_fully_masked=drop)
+        assert compile_mask(mask).apply_rows(
+            ALL_TRIPLES.rows, drop_fully_masked=drop
+        ) == expect
+
+    @pytest.mark.parametrize("name", sorted(RELATION_ROWS))
+    def test_pushdown_iff_every_relation_is_bound(self, name):
+        mask, pushdown = RELATION_ROWS[name]
+        compiled = compile_mask(mask)
+        assert compiled.pushdown is pushdown
+        (row,) = compiled.rows
+        if pushdown:
+            assert row.residual is None and row.relation_checks
+        else:
+            assert row.residual is not None and not row.relation_checks
 
 
 seeds = st.integers(min_value=0, max_value=10_000)

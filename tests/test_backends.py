@@ -40,7 +40,7 @@ from repro.backends import (
     make_backend,
 )
 from repro.config import DEFAULT_CONFIG
-from repro.core.compiled_mask import compile_mask, sql_predicate_view
+from repro.core.compiled_mask import compile_mask
 from repro.core.engine import AuthorizationEngine
 from repro.core.mask import MASKED, Mask
 from repro.errors import (
@@ -151,11 +151,11 @@ class TestSqlCompiler:
 
     def test_mask_arity_mismatch_is_refused(self):
         database = small_database()
-        view = sql_predicate_view(mask_over(int_columns(3), ()))
-        assert view is not None
+        compiled = compile_mask(mask_over(int_columns(3), ()))
+        assert compiled.pushdown
         with pytest.raises(BackendError):
             masked_plan_to_sql(emp_scan(output=(0,)), database.schema,
-                               view)
+                               compiled)
 
     def test_quoted_string_roundtrip(self):
         database = small_database()
@@ -208,8 +208,8 @@ class TestMaskPushdown:
         database = small_database()
         plan = emp_scan()
         full = mask_over(int_columns(3), [star_blank_row(3)])
-        view = sql_predicate_view(full)
-        assert view is not None and view.covers_all
+        compiled = compile_mask(full)
+        assert compiled.pushdown and compiled.covers_all
         python = PythonBackend(database)
         sqlite = SQLiteBackend(database)
         assert sorted(sqlite.execute_masked(plan, full), key=repr) \
@@ -224,9 +224,9 @@ class TestMaskPushdown:
         )
         store = ConstraintStore.empty().relate("x", Comparator.LT, "y")
         mask = mask_over(int_columns(2), [MaskRow(meta, store)])
-        view = sql_predicate_view(mask)
-        assert view is not None
-        assert view.rows[0].relation_checks == ((0, Comparator.LT, 1),)
+        compiled = compile_mask(mask)
+        assert compiled.pushdown
+        assert compiled.rows[0].relation_checks == ((0, Comparator.LT, 1),)
 
     def test_unbound_variable_relation_falls_back(self):
         # x < z where z is bound by no cell keeps its existential
@@ -238,7 +238,7 @@ class TestMaskPushdown:
         )
         store = ConstraintStore.empty().relate("x", Comparator.LT, "z")
         mask = mask_over(int_columns(2), [MaskRow(meta, store)])
-        assert sql_predicate_view(mask) is None
+        assert not compile_mask(mask).pushdown
         # The fallback still delivers oracle-identical rows.
         database = small_database()
         plan = emp_scan(output=(2, 0))
@@ -271,7 +271,7 @@ class TestMaskPushdown:
             .constrain("x", Comparator.NE, 45)
         mask = mask_over((Column("SAL", INTEGER),),
                          [MaskRow(meta, store)])
-        assert sql_predicate_view(mask) is not None
+        assert compile_mask(mask).pushdown
         python = PythonBackend(database)
         sqlite = SQLiteBackend(database)
         assert sorted(sqlite.execute_masked(plan, mask), key=repr) \

@@ -306,6 +306,21 @@ class TestFailClosed:
         # One trip per non-empty rung: the ladder really walked down.
         assert plan.trips["plan"] == EMPTY_LEVEL
 
+    def test_empty_rung_is_a_denial_at_floor_zero(self):
+        # A ladder that failed closed leaves nothing to deliver: the
+        # answer is a denial that never evaluates the query, and it
+        # matches the stream for the same request row for row.
+        engine = build_paper_engine()
+        with inject({"product": "raise"}) as plan:
+            answer = engine.authorize("Brown", EXAMPLE_1_QUERY)
+            stream = engine.authorize_stream("Brown", EXAMPLE_1_QUERY)
+            streamed = tuple(row for chunk in stream for row in chunk)
+        assert answer.degradation_level == EMPTY_LEVEL
+        assert "FaultInjected" in answer.error
+        assert answer.delivered == ()
+        assert streamed == answer.delivered
+        assert plan.visits["engine.evaluate"] == 0
+
     def test_transient_fault_degrades_one_rung(self):
         engine = build_paper_engine()
         with inject({"plan": Fault("raise", times=1)}):
