@@ -62,7 +62,7 @@ def test_cache_speedup_and_transparency():
     cached_engine, user, stream = _build(cache_size=128)
     uncached_engine, _, _ = _build(cache_size=0)
 
-    # Warm both paths once (parser caches, selfjoin pools) so the
+    # Warm both paths once (parser caches, the plan memo) so the
     # measurement compares steady states.
     _drain(cached_engine, user, stream[:1])
     _drain(uncached_engine, user, stream[:1])

@@ -41,11 +41,10 @@ def test_example2_mask_only(benchmark, paper_engine):
 
 
 def test_example3_selfjoin_cold_cache(benchmark, paper_engine):
-    """Example 3 with the per-user self-join cache invalidated each
-    round — the price of the closure itself."""
+    """Example 3 with the derivation cache cleared each round — the
+    price of the derivation, self-join closure included."""
 
     def run():
-        paper_engine._selfjoin_cache.clear()
         paper_engine._derivation_cache.clear()
         return paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
 

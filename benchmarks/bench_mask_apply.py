@@ -213,8 +213,11 @@ def test_streamed_product_never_materializes_more():
 
     def run(materialize):
         return [
-            derive_mask(plan, schema, workload.catalog, user,
-                        DEFAULT_CONFIG, materialize=materialize)
+            derive_mask(
+                plan, schema,
+                workload.catalog.snapshot(user, plan.relation_names()),
+                DEFAULT_CONFIG, materialize=materialize,
+            )
             for plan in plans
         ]
 

@@ -82,6 +82,9 @@ MUTATOR_METHODS: FrozenSet[str] = frozenset({
 DETERMINISTIC_MODULES: FrozenSet[str] = frozenset({
     "repro.metaalgebra.canonical",
     "repro.core.cache",
+    # Definition serials are part of every cache key: a counter, never
+    # an id() or a clock.
+    "repro.meta.catalog",
     # Resilience policy must be replayable: retry schedules hash their
     # seed instead of sampling, and the breaker's clock is injected.
     "repro.resilience.retry",

@@ -1,8 +1,9 @@
 """SL004 — determinism of cache and canonical-key construction.
 
 The derivation cache's transparency guarantee (docs/CACHING.md) keys
-entries by ``(user, canonical plan key)`` and assumes the key is a
-pure, stable function of the plan.  Anything process-dependent in key
+entries by ``(canonical plan key, definition serials)`` and assumes
+the key is a pure, stable function of the plan and of the catalog's
+definition history.  Anything process-dependent in key
 construction — ``id()``, wall-clock reads, ``random``/``uuid``, or
 iteration order of an unordered ``set`` — silently fractures the key
 space: equivalent plans stop sharing entries at best, and at worst a

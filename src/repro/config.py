@@ -62,8 +62,9 @@ class EngineConfig:
             tractable (dropping combinations is always sound — it only
             costs completeness).
         derivation_cache_size: LRU capacity of the mask-derivation
-            cache (entries keyed by user and canonical plan key,
-            invalidated by catalog version tokens — see
+            cache (entries keyed by canonical plan key and the
+            definition serials of the user's admissible views, so a
+            grant or definition change yields a new key — see
             ``docs/CACHING.md``).  0 disables caching; the delivered
             answers are identical either way (the transparency
             guarantee enforced by ``tests/test_derivation_cache.py``).

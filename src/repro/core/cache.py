@@ -5,32 +5,33 @@ query plan over the meta-relations, and recommends storing derived
 artifacts "with the original view definitions, until these definitions
 are modified".  :class:`DerivationCache` extends that advice from
 self-join closures to whole :class:`~repro.metaalgebra.plan.MaskDerivation`
-results: an LRU map keyed by ``(user, canonical plan key)`` whose
-entries carry the catalog *token* they were derived under.
+results: an LRU map keyed by what a derivation reads.
 
-**Transparency invariant.** A cached mask may be served only while the
-catalog state it was derived from is current *for that user*.  Tokens
-come from :meth:`repro.meta.catalog.PermissionCatalog.cache_token`:
-``(definitions_version, grants_version(user))``.  Any ``view`` /
-``drop`` bumps the definitions version (global invalidation); a
-``permit`` / ``revoke`` bumps only the affected user's grants version,
-so one user's mutation never flushes another's entries.  A stale entry
-is discarded on lookup and counted as an invalidation — a cache that
-survives a revoke would be a security hole, not a performance bug
-(cf. Guarnieri et al., "Strong and Provably Secure Database Access
-Control").  The differential and property suites in
-``tests/test_derivation_cache.py`` and
-``tests/property/test_cache_invalidation.py`` enforce the invariant.
+**Keys name content.**  A derivation is a pure function of the
+canonical plan and the definitions of the user's admissible views
+(:class:`~repro.meta.catalog.ViewSnapshot`), so the key is
+``(canonical plan key, definition serials of the snapshot in grant
+order)``.  The catalog never reuses a serial, so a ``permit``,
+``revoke`` or redefinition that changes what a user may read changes
+the key itself: a stale mask cannot be served, by construction rather
+than by a version compare, and an entry outlived by its grants simply
+ages out of the LRU.  Users whose admissible views are equal share one
+entry.  A cache that served a mask past a revoke would be a security
+hole, not a performance bug (cf. Guarnieri et al., "Strong and
+Provably Secure Database Access Control"); the differential and
+property suites in ``tests/test_derivation_cache.py`` and
+``tests/property/test_cache_invalidation.py`` enforce transparency.
+Serials are only unique within one catalog, so a cache belongs to one
+engine and is never shared.
 
 **Thread safety.**  Every public method takes the cache's internal
 lock, so lookups, stores, stats increments and LRU eviction are atomic
-with respect to each other — the serving layer
-(:mod:`repro.serving`) shares one cache between many worker threads.
-The invariant survives concurrent mutation because tokens are captured
-*before* a derivation starts: a revoke that lands mid-derivation bumps
-the live token, so the entry stored afterwards (under the stale token)
-can never be served.  ``tests/property/test_concurrent_cache.py``
-exercises exactly these interleavings.
+with respect to each other — the serving layer (:mod:`repro.serving`)
+calls one tenant engine from many worker threads.  Because the key is
+taken from one snapshot and the derivation reads that same snapshot, a
+revoke that lands mid-derivation cannot make the stored entry wrong
+for its key.  ``tests/property/test_concurrent_cache.py`` exercises
+the interleavings.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Protocol, Tuple
+from typing import Optional, Tuple
 
 from repro.metaalgebra.canonical import PlanKey
 from repro.metaalgebra.plan import MaskDerivation
 from repro.testing.faults import maybe_corrupt, maybe_fault
 
-#: Catalog state a cache entry was derived under:
-#: ``(definitions_version, grants_version(user))``.
-CacheToken = Tuple[int, int]
+#: What a cache entry is keyed by: the canonical plan key and the
+#: definition serials of the admissible views, in grant order.
+DerivationKey = Tuple[PlanKey, Tuple[int, ...]]
 
 
 @dataclass
@@ -54,29 +55,16 @@ class CacheStats:
     """Running counters of one cache's behaviour.
 
     Attributes:
-        hits: lookups served from a live entry.
-        misses: lookups that found no entry (stale lookups count as
-            both an invalidation and a miss).
-        invalidations: entries discarded because their catalog token
-            went stale.
-        evictions: live entries dropped by the LRU bound.
+        hits: lookups served from an entry.
+        misses: lookups that found no entry.
+        invalidations: entries dropped by :meth:`DerivationCache.clear`.
+        evictions: entries dropped by the LRU bound.
     """
 
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
-
-    @classmethod
-    def merged(cls, parts: Iterable["CacheStats"]) -> "CacheStats":
-        """Counter-wise sum of ``parts`` (shard aggregation)."""
-        total = cls()
-        for part in parts:
-            total.hits += part.hits
-            total.misses += part.misses
-            total.invalidations += part.invalidations
-            total.evictions += part.evictions
-        return total
 
     @property
     def lookups(self) -> int:
@@ -103,62 +91,23 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class _Entry:
-    token: CacheToken
     derivation: MaskDerivation
     #: Compiled mask-application kernel for the derivation's mask
     #: (``repro.core.compiled_mask``), attached lazily by the engine on
-    #: first delivery.  It lives and dies with the entry: the same
-    #: token guards it, so a grant or definition change that would
-    #: invalidate the derivation invalidates the compiled matcher too.
+    #: first delivery.  It lives and dies with the entry, under the
+    #: same content key.
     compiled: Optional[object] = None
 
 
-class DerivationCacheLike(Protocol):
-    """What the engine needs from a derivation cache.
-
-    :class:`DerivationCache` is the reference implementation; the
-    serving layer's lock-striped
-    :class:`~repro.serving.shards.ShardedDerivationCache` implements
-    the same surface over many internal shards.
-    """
-
-    @property
-    def stats(self) -> CacheStats: ...  # noqa: E704
-
-    @property
-    def enabled(self) -> bool: ...  # noqa: E704
-
-    def __len__(self) -> int: ...  # noqa: E704
-
-    def get(self, user: str, plan_key: PlanKey,
-            token: CacheToken) -> Optional[MaskDerivation]: ...  # noqa: E704
-
-    def put(self, user: str, plan_key: PlanKey, token: CacheToken,
-            derivation: MaskDerivation) -> None: ...  # noqa: E704
-
-    def get_compiled(self, user: str, plan_key: PlanKey,
-                     token: CacheToken) -> Optional[object]: ...  # noqa: E704
-
-    def put_compiled(self, user: str, plan_key: PlanKey,
-                     token: CacheToken,
-                     compiled: object) -> None: ...  # noqa: E704
-
-    def invalidate_user(self, user: str) -> None: ...  # noqa: E704
-
-    def clear(self) -> None: ...  # noqa: E704
-
-    def users(self) -> Tuple[str, ...]: ...  # noqa: E704
-
-
 class DerivationCache:
-    """LRU cache of mask derivations with version invalidation.
+    """LRU cache of mask derivations keyed by their inputs.
 
     Capacity 0 (or negative) disables the cache entirely: lookups
     return ``None`` without touching the statistics, stores are
     dropped.
 
     All public methods are atomic under one internal lock: statistics
-    increments, the stale-entry discard inside :meth:`get`, and the
+    increments, the LRU bump inside :meth:`get`, and the
     store-plus-eviction inside :meth:`put` each happen as a unit, so
     the cache may be shared between threads (the serving layer does).
     Derivations themselves are computed outside the cache and never
@@ -170,8 +119,7 @@ class DerivationCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, PlanKey], _Entry]" = \
-            OrderedDict()
+        self._entries: "OrderedDict[DerivationKey, _Entry]" = OrderedDict()
 
     @property
     def enabled(self) -> bool:
@@ -185,21 +133,14 @@ class DerivationCache:
     # lookup / store
     # ------------------------------------------------------------------
 
-    def get(self, user: str, plan_key: PlanKey,
-            token: CacheToken) -> Optional[MaskDerivation]:
-        """The cached derivation, or ``None`` on miss/stale entry."""
+    def get(self, key: DerivationKey) -> Optional[MaskDerivation]:
+        """The cached derivation, or ``None`` on a miss."""
         if not self.enabled:
             return None
         maybe_fault("cache.get")
-        key = (user, plan_key)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.token != token:
-                del self._entries[key]
-                self.stats.invalidations += 1
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -209,15 +150,13 @@ class DerivationCache:
         # treated as a miss, never served.
         return maybe_corrupt("cache.entry", entry.derivation)
 
-    def put(self, user: str, plan_key: PlanKey, token: CacheToken,
-            derivation: MaskDerivation) -> None:
+    def put(self, key: DerivationKey, derivation: MaskDerivation) -> None:
         """Store ``derivation``, evicting least-recently-used entries."""
         if not self.enabled:
             return
         maybe_fault("cache.put")
-        key = (user, plan_key)
         with self._lock:
-            self._entries[key] = _Entry(token, derivation)
+            self._entries[key] = _Entry(derivation)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -227,63 +166,38 @@ class DerivationCache:
     # compiled mask kernels (stored alongside the derivation)
     # ------------------------------------------------------------------
 
-    def get_compiled(self, user: str, plan_key: PlanKey,
-                     token: CacheToken) -> Optional[object]:
-        """The compiled mask attached to a live entry, else ``None``.
+    def get_compiled(self, key: DerivationKey) -> Optional[object]:
+        """The compiled mask attached to ``key``'s entry, else ``None``.
 
-        Deliberately side-effect free: no statistics, no LRU bump, no
-        stale-entry eviction — the derivation lookup that precedes it
-        already did all three.  The engine revalidates the type of what
-        comes back before using it.
+        Deliberately side-effect free: no statistics and no LRU bump —
+        the derivation lookup that precedes it already did both.  The
+        engine revalidates the type of what comes back before using it.
         """
         if not self.enabled:
             return None
         with self._lock:
-            entry = self._entries.get((user, plan_key))
-            if entry is None or entry.token != token:
-                return None
-            return entry.compiled
+            entry = self._entries.get(key)
+            return None if entry is None else entry.compiled
 
-    def put_compiled(self, user: str, plan_key: PlanKey,
-                     token: CacheToken, compiled: object) -> None:
-        """Attach a compiled mask to the matching live entry.
+    def put_compiled(self, key: DerivationKey, compiled: object) -> None:
+        """Attach a compiled mask to ``key``'s entry.
 
-        A no-op when the entry is missing or its token went stale — a
-        compiled mask must never outlive the derivation it was built
-        from.
+        A no-op when the entry is gone (evicted or cleared): a compiled
+        mask never outlives the derivation it was built from.
         """
         if not self.enabled:
             return
-        key = (user, plan_key)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or entry.token != token:
-                return
-            self._entries[key] = replace(entry, compiled=compiled)
+            if entry is not None:
+                self._entries[key] = replace(entry, compiled=compiled)
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-
-    def invalidate_user(self, user: str) -> None:
-        """Eagerly drop every entry of ``user`` (token comparison makes
-        this optional; provided for explicit flushes)."""
-        with self._lock:
-            stale = [key for key in self._entries if key[0] == user]
-            for key in stale:
-                del self._entries[key]
-            self.stats.invalidations += len(stale)
 
     def clear(self) -> None:
         """Drop every entry (counters survive)."""
         with self._lock:
             self.stats.invalidations += len(self._entries)
             self._entries.clear()
-
-    def users(self) -> Tuple[str, ...]:
-        """Distinct users with live entries (diagnostics)."""
-        with self._lock:
-            seen: Dict[str, None] = {}
-            for user, _ in self._entries:
-                seen.setdefault(user)
-            return tuple(seen)

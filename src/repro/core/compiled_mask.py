@@ -41,9 +41,8 @@ Both are differentially identical to the interpreted ``Mask.apply``
 ``tests/property/test_columnar_relation.py`` pin the kernel,
 ``tests/property/test_backend_parity.py`` the SQL renderer.  The
 engine stores compiled masks alongside derivations in the
-:class:`~repro.core.cache.DerivationCache` under the same catalog
-version token, so compilation is amortized exactly like derivation
-(``docs/CACHING.md``).
+:class:`~repro.core.cache.DerivationCache` under the same key, so
+compilation is amortized exactly like derivation (``docs/CACHING.md``).
 """
 
 from __future__ import annotations

@@ -12,17 +12,15 @@ points into one pipeline with one fail-closed boundary;
 ``authorize_stream`` reuses its derivation and masking steps to deliver
 the same answer chunk by chunk.
 
-Two derived artifacts are memoized, following Section 5's advice that
-derived results "should be stored with the original view definitions,
-until these definitions are modified":
-
-* per-user **self-join closures**, invalidated by the catalog's
-  per-user cache token (a grant to one user no longer flushes
-  another's closure);
-* whole **mask derivations**, in a :class:`~repro.core.cache.DerivationCache`
-  keyed by ``(user, canonical plan key)`` and guarded by the same
-  token — see ``docs/CACHING.md`` for keys, invalidation rules, and
-  the transparency guarantee.
+Whole mask derivations, self-join closures included, are memoized
+following Section 5's advice that derived results "should be stored
+with the original view definitions, until these definitions are
+modified".  Per request the engine takes one snapshot of the user's
+admissible views; the :class:`~repro.core.cache.DerivationCache` is
+keyed by ``(canonical plan key, definition serials of the snapshot)``
+and a miss derives over that same snapshot, so an entry is a pure
+function of its key — see ``docs/CACHING.md`` for the keys and the
+transparency guarantee.
 """
 
 from __future__ import annotations
@@ -54,12 +52,7 @@ from repro.calculus.ast import Query, ViewDefinition
 from repro.calculus.to_algebra import compile_query
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.answer import AuthorizedAnswer
-from repro.core.cache import (
-    CacheStats,
-    CacheToken,
-    DerivationCache,
-    DerivationCacheLike,
-)
+from repro.core.cache import CacheStats, DerivationCache, DerivationKey
 from repro.core.compiled_mask import (
     CompiledMask,
     apply_mask_columnar,
@@ -75,8 +68,7 @@ from repro.errors import (
 )
 from repro.extensions.closure import make_excuse
 from repro.lang.parser import parse_statement
-from repro.meta.catalog import PermissionCatalog
-from repro.meta.metatuple import MetaTuple
+from repro.meta.catalog import PermissionCatalog, ViewSnapshot
 from repro.metaalgebra.canonical import PlanKey, canonical_plan_key
 from repro.metaalgebra.ladder import (
     EMPTY_LEVEL,
@@ -86,7 +78,9 @@ from repro.metaalgebra.ladder import (
 )
 from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.plan import MaskDerivation
-from repro.metaalgebra.selfjoin import selfjoin_closure
+# Not called here (derive_mask computes the closure); kept bound so
+# the per-layer wrappers of benchmarks/authbench/layers.py resolve.
+from repro.metaalgebra.selfjoin import selfjoin_closure  # noqa: F401
 from repro.resilience.breaker import BreakerPolicy
 from repro.resilience.failover import (
     ExecutionOutcome,
@@ -106,7 +100,6 @@ class AuthorizationEngine:
         catalog: Optional[PermissionCatalog] = None,
         config: EngineConfig = DEFAULT_CONFIG,
         audit: Optional["AuditLog"] = None,
-        derivation_cache: Optional[DerivationCacheLike] = None,
     ) -> None:
         self.database = database
         self.catalog = catalog or PermissionCatalog(database.schema)
@@ -156,20 +149,11 @@ class AuthorizationEngine:
         )
         #: Optional audit trail; every authorize() appends a record.
         self.audit = audit
-        # Per-user self-join closures, each tagged with the catalog
-        # token it was computed under: "once generated, they should be
-        # stored with the original view definitions, until these
-        # definitions are modified."
-        self._selfjoin_cache: Dict[
-            str, Tuple[Tuple[int, int], Dict[str, Tuple[MetaTuple, ...]]]
-        ] = {}
-        #: LRU cache of mask derivations (see repro.core.cache).  An
-        #: injected cache lets the serving layer substitute its
-        #: lock-striped sharded implementation, or share one cache
-        #: between engines that share a catalog.
-        self._derivation_cache: DerivationCacheLike = (
-            derivation_cache if derivation_cache is not None
-            else DerivationCache(config.derivation_cache_size)
+        #: LRU cache of mask derivations (see repro.core.cache).  Its
+        #: keys carry this catalog's definition serials, so it is
+        #: never shared with another engine.
+        self._derivation_cache = DerivationCache(
+            config.derivation_cache_size
         )
         # Compiled plans and canonical keys are pure functions of the
         # (immutable) schema, so they are memoized unconditionally;
@@ -328,8 +312,8 @@ class AuthorizationEngine:
                         key: PlanKey, floor: int,
                         shed_reason: str) -> AuthorizedAnswer:
         """One element of the pipeline (inside the boundary)."""
-        token = self._cache_token(user)
-        derivation, hit = self._derive(user, plan, key, token, floor,
+        views, cache_key = self._snapshot(user, plan, key)
+        derivation, hit = self._derive(plan, views, cache_key, floor,
                                        shed_reason)
         if derivation.degradation_level >= EMPTY_LEVEL:
             # The empty mask delivers nothing at any floor, so it is a
@@ -340,7 +324,7 @@ class AuthorizationEngine:
             return self._denied_answer(user, query, plan, reason)
         outcome = self._evaluate(plan)
         return self._assemble(user, query, plan, outcome, derivation,
-                              hit, key, token)
+                              hit, cache_key)
 
     def _evaluate(self, plan: PSJQuery) -> ExecutionOutcome:
         """Evaluate ``plan`` through the resilient executor.
@@ -398,8 +382,8 @@ class AuthorizationEngine:
         )
         try:
             key = self._plan_key(plan)
-            token = self._cache_token(user)
-            derivation, hit = self._derive(user, plan, key, token)
+            views, cache_key = self._snapshot(user, plan, key)
+            derivation, hit = self._derive(plan, views, cache_key)
             assert derivation.mask is not None
             if derivation.degradation_level >= EMPTY_LEVEL:
                 stream = self._denied_stream(
@@ -408,8 +392,7 @@ class AuthorizationEngine:
                 )
             else:
                 mask = Mask.from_table(derivation.mask)
-                compiled = self._compiled_for(user, mask, derivation,
-                                              key, token)
+                compiled = self._compiled_for(mask, derivation, cache_key)
                 outcome = self._evaluate_stream(plan, size)
                 stream = AnswerStream(
                     user=user,
@@ -596,8 +579,9 @@ class AuthorizationEngine:
         """Derive the mask only (no data touched) — with full trace."""
         query = self._parse_query(query, "derive")
         plan = self._compile(query)
-        derivation, _ = self._derive(user, plan, self._plan_key(plan),
-                                     self._cache_token(user))
+        key = self._plan_key(plan)
+        views, cache_key = self._snapshot(user, plan, key)
+        derivation, _ = self._derive(plan, views, cache_key)
         return derivation
 
     def trace(self, user: str,
@@ -613,7 +597,8 @@ class AuthorizationEngine:
         """
         query = self._parse_query(query, "trace")
         plan = self._compile(query)
-        return self._derive_uncached(user, plan, materialize=True)
+        views = self.catalog.snapshot(user, plan.relation_names())
+        return self._derive_uncached(plan, views, materialize=True)
 
     # ------------------------------------------------------------------
     # internals
@@ -662,22 +647,21 @@ class AuthorizationEngine:
                 self._plan_key_cache.popitem(last=False)
         return key
 
-    def _cache_token(self, user: str) -> Optional[CacheToken]:
-        """The catalog token guarding ``user``'s cache entries, or
-        ``None`` when the derivation cache is off."""
-        if not self._derivation_cache.enabled:
-            return None
-        return self.catalog.cache_token(user)
+    def _snapshot(self, user: str, plan: PSJQuery, key: PlanKey
+                  ) -> Tuple[ViewSnapshot, DerivationKey]:
+        """``user``'s admissible views for ``plan``, read once, and the
+        cache key they and the plan key name."""
+        views = self.catalog.snapshot(user, plan.relation_names())
+        return views, (key, views.serials)
 
     def _assemble(self, user: str, query: Query, plan: PSJQuery,
                   outcome: ExecutionOutcome,
                   derivation: MaskDerivation, hit: bool,
-                  key: PlanKey, token: Optional[CacheToken],
-                  ) -> AuthorizedAnswer:
+                  cache_key: DerivationKey) -> AuthorizedAnswer:
         assert derivation.mask is not None
         answer = outcome.answer
         mask = Mask.from_table(derivation.mask)
-        compiled = self._compiled_for(user, mask, derivation, key, token)
+        compiled = self._compiled_for(mask, derivation, cache_key)
         drop = self.config.drop_fully_masked_rows
         if compiled is not None:
             delivered = apply_mask_columnar(compiled, answer,
@@ -699,29 +683,30 @@ class AuthorizationEngine:
             failover_reason=outcome.failover_reason,
         )
 
-    def _compiled_for(self, user: str, mask: Mask,
-                      derivation: MaskDerivation, key: PlanKey,
-                      token: Optional[CacheToken],
-                      ) -> Optional[CompiledMask]:
+    def _compiled_for(self, mask: Mask, derivation: MaskDerivation,
+                      cache_key: DerivationKey) -> Optional[CompiledMask]:
         """The columnar kernel's compiled form of ``mask``.
 
         Amortized exactly like the derivation itself: the compiled mask
         is attached to the derivation's cache entry under the same
-        catalog token, so a cache hit skips compilation and an
-        invalidation drops both together.  Any failure — lookup, store,
-        or compilation — degrades to the interpreted ``Mask.apply``
-        (``None``), which is always correct; dev mode re-raises.
+        key, so a cache hit skips compilation and an eviction drops
+        both together.  Any failure — lookup, store, or compilation —
+        degrades to the interpreted ``Mask.apply`` (``None``), which is
+        always correct; dev mode re-raises.
         """
         cache = self._derivation_cache
-        if derivation.degradation_level != 0:
-            token = None  # degraded derivations are never cached
-        if token is not None:
+        # Degraded derivations are never cached, so neither is their
+        # compiled form.
+        key: Optional[DerivationKey] = (
+            cache_key if derivation.degradation_level == 0 else None
+        )
+        if key is not None:
             try:
-                compiled = cache.get_compiled(user, key, token)
+                compiled = cache.get_compiled(key)
             except ReproError:
                 if not self.config.fail_closed:
                     raise
-                token = compiled = None
+                key = compiled = None
             if isinstance(compiled, CompiledMask):
                 return compiled
         try:
@@ -730,9 +715,9 @@ class AuthorizationEngine:
             if not self.config.fail_closed:
                 raise
             return None
-        if token is not None:
+        if key is not None:
             try:
-                cache.put_compiled(user, key, token, compiled)
+                cache.put_compiled(key, compiled)
             except ReproError:
                 if not self.config.fail_closed:
                     raise
@@ -776,12 +761,12 @@ class AuthorizationEngine:
         )
 
     def _derive(
-        self, user: str, plan: PSJQuery, key: PlanKey,
-        token: Optional[CacheToken], floor: int = 0,
-        reason: Optional[str] = None,
+        self, plan: PSJQuery, views: ViewSnapshot, key: DerivationKey,
+        floor: int = 0, reason: Optional[str] = None,
     ) -> Tuple[MaskDerivation, bool]:
-        """The mask derivation at ladder rung ``floor`` or below; the
-        bool reports a cache hit.
+        """The mask derivation of ``plan`` over ``views`` at ladder rung
+        ``floor`` or below, cached under ``key``; the bool reports a
+        cache hit.
 
         The cache is treated as an untrusted accelerator: a lookup
         failure degrades to a fresh derivation, a stored entry that is
@@ -793,23 +778,22 @@ class AuthorizationEngine:
         one would keep serving it after the overload passed.
         """
         cache = self._derivation_cache
-        if token is not None:
-            try:
-                cached = cache.get(user, key, token)
-            except ReproError:
-                if not self.config.fail_closed:
-                    raise
-                cached = None
-            if self._valid_cached(cached):
-                assert isinstance(cached, MaskDerivation)
-                return cached, True
+        try:
+            cached = cache.get(key)
+        except ReproError:
+            if not self.config.fail_closed:
+                raise
+            cached = None
+        if self._valid_cached(cached):
+            assert isinstance(cached, MaskDerivation)
+            return cached, True
         if floor >= EMPTY_LEVEL:
             return empty_derivation(
                 plan, self.database.schema, reason=reason
             ), False
         rung = rung_config(self.config, floor)
         assert rung is not None
-        derivation = self._derive_uncached(user, plan, config=rung)
+        derivation = self._derive_uncached(plan, views, config=rung)
         if floor:
             # derive_mask_resilient reports the rung relative to the
             # configuration it was handed; rungs compose by max, so the
@@ -821,9 +805,9 @@ class AuthorizationEngine:
                 )
             if derivation.degradation_reason is None:
                 derivation.degradation_reason = reason
-        elif token is not None and derivation.degradation_level == 0:
+        elif derivation.degradation_level == 0:
             try:
-                cache.put(user, key, token, derivation)
+                cache.put(key, derivation)
             except ReproError:
                 if not self.config.fail_closed:
                     raise
@@ -838,7 +822,7 @@ class AuthorizationEngine:
         )
 
     def _derive_uncached(
-        self, user: str, plan: PSJQuery,
+        self, plan: PSJQuery, views: ViewSnapshot,
         config: Optional[EngineConfig] = None,
         materialize: bool = False,
     ) -> MaskDerivation:
@@ -846,12 +830,7 @@ class AuthorizationEngine:
         excuse = None
         if config.existential_closure:
             try:
-                admissible = self.catalog.admissible_views(
-                    user, plan.relation_names()
-                )
-                excuse = make_excuse(
-                    self.catalog, admissible, plan, self.database.schema
-                )
+                excuse = make_excuse(views, plan, self.database.schema)
             except ReproError:
                 # The excuse only ever *keeps* rows the pruning would
                 # drop, so deriving without it stays sound (the mask
@@ -859,60 +838,11 @@ class AuthorizationEngine:
                 if not config.fail_closed:
                     raise
                 excuse = None
-        try:
-            selfjoin_pool = self._selfjoin_pool(user)
-        except ReproError:
-            # Without the memoized pool derive_mask recomputes the
-            # closure itself; a persistent fault then degrades down
-            # the ladder to the no-self-join rung.
-            if not config.fail_closed:
-                raise
-            selfjoin_pool = None
         return derive_mask_resilient(
             plan,
             self.database.schema,
-            self.catalog,
-            user,
+            views,
             config,
             excuse=excuse,
-            selfjoin_pool=selfjoin_pool,
             materialize=materialize,
         )
-
-    # ------------------------------------------------------------------
-    # self-join cache
-    # ------------------------------------------------------------------
-
-    def _selfjoin_pool(
-        self, user: str
-    ) -> Optional[Dict[str, Tuple[MetaTuple, ...]]]:
-        if not self.config.self_joins:
-            return None
-        token = self.catalog.cache_token(user)
-        with self._memo_lock:
-            cached = self._selfjoin_cache.get(user)
-            if cached is not None and cached[0] == token:
-                return cached[1]
-
-        # Computed outside the lock: closures can be expensive and
-        # recomputation is idempotent — concurrent threads at worst
-        # duplicate work, and whichever stores last wins.  The token
-        # was captured *before* the catalog reads below, so a racing
-        # revoke leaves a pool that is stored under a stale token and
-        # recomputed on the next call.
-        pool: Dict[str, Tuple[MetaTuple, ...]] = {}
-        permitted = self.catalog.views_of(user)
-        store = self.catalog.store_for(permitted)
-        for relation in self.database.schema.names():
-            # The closure is computed once over all of the user's
-            # views; derive_mask filters out combinations involving
-            # views that are not admissible for a particular query.
-            tuples = self.catalog.tuples_for(relation, permitted)
-            pool[relation] = selfjoin_closure(
-                self.database.schema.get(relation), tuples, store,
-                self.config.max_selfjoin_rounds,
-                self.config.max_selfjoin_tuples,
-            )
-        with self._memo_lock:
-            self._selfjoin_cache[user] = (token, pool)
-        return pool

@@ -74,8 +74,8 @@ def _proposition_checks(result: ExperimentResult) -> None:
 
     # Proposition 2 on concrete selections (base Definition 2, which the
     # proposition is stated for).
-    psa = catalog.tuples_for("PROJECT", ["PSA"])[0]
-    store = catalog.store_for(["PSA"])
+    psa_view = catalog.view("PSA")
+    (_, psa), store = psa_view.tuples[0], psa_view.store
     table = MaskTable(
         tuple(project.columns), (MaskRow(psa, store),)
     )
@@ -98,19 +98,17 @@ def _proposition_checks(result: ExperimentResult) -> None:
             failures += 1
 
     # Proposition 3: projecting away a blank attribute commutes.
-    sae = catalog.tuples_for("EMPLOYEE", ["SAE"])[0]
+    sae_view = catalog.view("SAE")
+    (_, sae), sae_store = sae_view.tuples[0], sae_view.store
     table = MaskTable(
-        tuple(employee.columns),
-        (MaskRow(sae, catalog.store_for(["SAE"])),),
+        tuple(employee.columns), (MaskRow(sae, sae_store),),
     )
     projected = meta_project(table, (0, 2))
     meta_side = materialize_meta_tuple(
         projected.rows[0].meta, projected.rows[0].store,
         employee.project((0, 2)),
     )
-    data_side = materialize_meta_tuple(
-        sae, catalog.store_for(["SAE"]), employee
-    )
+    data_side = materialize_meta_tuple(sae, sae_store, employee)
     checked += 1
     if not meta_side.same_rows(data_side):
         failures += 1

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.algebra.expression import PSJQuery
 from repro.algebra.schema import DatabaseSchema
-from repro.meta.catalog import PermissionCatalog
+from repro.meta.catalog import ViewSnapshot
 from repro.meta.cell import MetaCell
 from repro.meta.metatuple import MetaTuple, TupleId
 from repro.metaalgebra.prune import ExcusePredicate
@@ -33,17 +33,17 @@ from repro.testing.faults import maybe_fault
 
 
 def make_excuse(
-    catalog: PermissionCatalog,
-    admissible: Tuple[str, ...],
+    views: ViewSnapshot,
     psj: PSJQuery,
     schema: DatabaseSchema,
 ) -> ExcusePredicate:
-    """Build the subsumption-based excuse predicate for one derivation."""
+    """Build the subsumption-based excuse predicate for one derivation
+    over the admissible ``views``."""
     maybe_fault("closure")
     # Index the original meta-tuples of the admissible views by id.
     originals: Dict[TupleId, Tuple[str, MetaTuple]] = {}
-    for name in admissible:
-        for relation, meta in catalog.view(name).tuples:
+    for view in views.views:
+        for relation, meta in view.tuples:
             (tuple_id,) = meta.provenance
             originals[tuple_id] = (relation, meta)
 

@@ -17,6 +17,7 @@ these relations in their entirety".
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.algebra.schema import DatabaseSchema
@@ -28,44 +29,76 @@ from repro.meta.metatuple import MetaTuple, TupleId
 from repro.predicates.store import ConstraintStore
 
 
+@dataclass(frozen=True)
+class ViewSnapshot:
+    """Some views of a catalog, frozen with their definition serials.
+
+    Everything a mask derivation reads of the catalog: the encodings
+    of the views it may use, in grant order.  ``serials`` names that
+    content, because a catalog never reuses a serial: equal serials
+    mean equal definitions, and a ``permit``, ``revoke`` or
+    redefinition yields different serials.
+    """
+
+    views: Tuple[EncodedView, ...]
+    serials: Tuple[int, ...]
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(view.name for view in self.views)
+
+    def tuples_for(self, relation: str) -> Tuple[MetaTuple, ...]:
+        """Meta-tuples of the views stored in meta-relation
+        ``relation``', in view/ordinal order."""
+        return tuple(
+            meta for view in self.views for rel, meta in view.tuples
+            if rel == relation
+        )
+
+    def store(self) -> ConstraintStore:
+        """The COMPARISON constraints of the views, merged."""
+        store = ConstraintStore.empty()
+        for view in self.views:
+            store = store.merge(view.store)
+        return store
+
+    def defining_tuples(self) -> Dict[str, FrozenSet[TupleId]]:
+        """The D(x) map of every variable of the views."""
+        out: Dict[str, FrozenSet[TupleId]] = {}
+        for view in self.views:
+            out.update(view.defining_tuples)
+        return out
+
+
 class PermissionCatalog:
     """Views, their meta-tuple encodings, and user grants.
 
     Mutators (``define_view`` / ``drop_view`` / ``permit`` /
-    ``revoke``) are serialized by an internal lock so concurrent
-    grant/revoke traffic from a serving layer cannot lose version
-    bumps — the version counters are what keep shared derivation
-    caches honest.  Readers are lock-free: they take GIL-atomic
-    snapshots, and a reader that races a mutation simply observes
-    either the before or the after state, both of which are guarded by
-    the token it captured (see :meth:`cache_token`).
+    ``revoke``) are serialized by an internal lock, and
+    :meth:`snapshot` reads under the same lock, so a snapshot is
+    always one state of the catalog: never a grant list from before a
+    mutation paired with a definition from after it.  Other readers
+    are lock-free: they take GIL-atomic reads of dicts and of grant
+    lists that mutators replace wholesale.
 
-    Every mutation writes its state change *before* bumping the
-    version counters.  That ordering is load-bearing: a reader that
-    captures the post-mutation token is then guaranteed to see the
-    post-mutation grants, so nothing stale can ever be cached under a
-    live token — in-flight derivations that started under the old
-    state store under the old token and are invalidated on their next
-    lookup.
+    ``define_view`` stamps each definition with a serial it never
+    reuses, not even for a view dropped and defined again under the
+    same name.  A derivation cache keyed by the serials of a
+    snapshot therefore cannot serve a mask derived from other
+    definitions or other grants (see :mod:`repro.core.cache`).
     """
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
         self._views: Dict[str, EncodedView] = {}
+        self._serials: Dict[str, int] = {}  # view name -> its serial
         self._grants: Dict[str, List[str]] = {}  # user -> view names, in grant order
         self._var_counter = 0
+        self._serial_counter = 0
         self._mutate_lock = threading.RLock()
         #: Monotonic version, bumped on every mutation (kept for
         #: backward compatibility and coarse observers).
         self.version = 0
-        #: Bumped only when the view definitions change (``view`` /
-        #: ``drop``).  Definition changes invalidate every user's
-        #: cached derivations and self-join closures.
-        self.definitions_version = 0
-        #: Per-user grant counters: a ``permit``/``revoke`` bumps only
-        #: the affected user, so caches scoped by
-        #: :meth:`cache_token` survive other users' mutations.
-        self._grant_versions: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # view definition
@@ -90,9 +123,10 @@ class PermissionCatalog:
             if view.name in self._views:
                 raise DuplicateViewError(view.name)
             encoded = encode_view(view, self.schema, self._fresh_var)
+            self._serial_counter += 1
             self._views[view.name] = encoded
+            self._serials[view.name] = self._serial_counter
             self.version += 1
-            self.definitions_version += 1
         return encoded
 
     def drop_view(self, name: str) -> None:
@@ -101,9 +135,8 @@ class PermissionCatalog:
             if name not in self._views:
                 raise UnknownViewError(name)
             del self._views[name]
+            del self._serials[name]
             for user in list(self._grants):
-                if name in self._grants[user]:
-                    self._bump_grants(user)
                 remaining = [
                     v for v in self._grants[user] if v != name
                 ]
@@ -112,7 +145,6 @@ class PermissionCatalog:
                 else:
                     del self._grants[user]
             self.version += 1
-            self.definitions_version += 1
 
     def view(self, name: str) -> EncodedView:
         try:
@@ -142,7 +174,6 @@ class PermissionCatalog:
                 # half-applied mutation.
                 self._grants[user] = granted + [view_name]
                 self.version += 1
-                self._bump_grants(user)
 
     def revoke(self, view_name: str, user: str) -> None:
         """Withdraw a grant (no-op when absent)."""
@@ -155,29 +186,10 @@ class PermissionCatalog:
                 else:
                     del self._grants[user]
                 self.version += 1
-                self._bump_grants(user)
 
     def views_of(self, user: str) -> Tuple[str, ...]:
         """Views granted to ``user``, in grant order."""
         return tuple(self._grants.get(user, ()))
-
-    def _bump_grants(self, user: str) -> None:
-        self._grant_versions[user] = self._grant_versions.get(user, 0) + 1
-
-    def grants_version(self, user: str) -> int:
-        """Monotonic counter of ``user``'s grant mutations."""
-        return self._grant_versions.get(user, 0)
-
-    def cache_token(self, user: str) -> Tuple[int, int]:
-        """The catalog state relevant to ``user``'s cached derivations.
-
-        ``(definitions_version, grants_version(user))`` — view
-        definition changes invalidate globally, grant changes only for
-        the user they touch.  Engines compare this token to decide
-        whether a cached self-join closure or mask derivation may be
-        served (see :mod:`repro.core.cache`).
-        """
-        return (self.definitions_version, self.grants_version(user))
 
     def users(self) -> Tuple[str, ...]:
         return tuple(self._grants)
@@ -189,41 +201,25 @@ class PermissionCatalog:
     # pruning services for the authorization process
     # ------------------------------------------------------------------
 
-    def admissible_views(self, user: str,
-                         relations: Iterable[str]) -> Tuple[str, ...]:
-        """Views permitted to ``user`` and defined entirely within
-        ``relations`` (the stage-one pruning of Section 5's examples)."""
+    def snapshot(self, user: str,
+                 relations: Iterable[str]) -> ViewSnapshot:
+        """The views permitted to ``user`` and defined entirely within
+        ``relations`` (the stage-one pruning of Section 5's examples),
+        in grant order, read as one state of the catalog."""
         universe = frozenset(relations)
-        return tuple(
-            name for name in self.views_of(user)
-            if self.view(name).relation_names() <= universe
+        with self._mutate_lock:
+            return self.snapshot_of(
+                name for name in self._grants.get(user, ())
+                if self._views[name].relation_names() <= universe
+            )
+
+    def snapshot_of(self, view_names: Iterable[str]) -> ViewSnapshot:
+        """A snapshot of the named views."""
+        names = tuple(view_names)
+        return ViewSnapshot(
+            views=tuple(self.view(name) for name in names),
+            serials=tuple(self._serials[name] for name in names),
         )
-
-    def tuples_for(self, relation: str,
-                   view_names: Iterable[str]) -> Tuple[MetaTuple, ...]:
-        """Meta-tuples of the given views stored in meta-relation
-        ``relation``', in view/ordinal order."""
-        out: List[MetaTuple] = []
-        for name in view_names:
-            for rel, meta in self.view(name).tuples:
-                if rel == relation:
-                    out.append(meta)
-        return tuple(out)
-
-    def store_for(self, view_names: Iterable[str]) -> ConstraintStore:
-        """The COMPARISON constraints of the given views, merged."""
-        store = ConstraintStore.empty()
-        for name in view_names:
-            store = store.merge(self.view(name).store)
-        return store
-
-    def defining_tuples(self, view_names: Iterable[str]
-                        ) -> Dict[str, FrozenSet[TupleId]]:
-        """The D(x) map of every variable of the given views."""
-        out: Dict[str, FrozenSet[TupleId]] = {}
-        for name in view_names:
-            out.update(self.view(name).defining_tuples)
-        return out
 
     # ------------------------------------------------------------------
     # display (the Figure 1 tables)

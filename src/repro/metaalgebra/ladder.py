@@ -36,8 +36,7 @@ from repro.algebra.expression import PSJQuery
 from repro.algebra.schema import DatabaseSchema
 from repro.config import EngineConfig
 from repro.errors import BudgetExceededError, DerivationTimeout
-from repro.meta.catalog import PermissionCatalog
-from repro.meta.metatuple import MetaTuple
+from repro.meta.catalog import ViewSnapshot
 from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.plan import MaskDerivation, derive_mask
 from repro.metaalgebra.prune import ExcusePredicate
@@ -98,11 +97,9 @@ def empty_derivation(psj: PSJQuery, schema: DatabaseSchema,
 def derive_mask_resilient(
     psj: PSJQuery,
     schema: DatabaseSchema,
-    catalog: PermissionCatalog,
-    user: str,
+    views: ViewSnapshot,
     config: EngineConfig,
     excuse: Optional[ExcusePredicate] = None,
-    selfjoin_pool: Optional[Dict[str, Tuple[MetaTuple, ...]]] = None,
     clock: Callable[[], float] = time.monotonic,
     materialize: bool = False,
 ) -> MaskDerivation:
@@ -124,9 +121,8 @@ def derive_mask_resilient(
         budget = Budget.from_config(rung, clock)
         try:
             derivation = derive_mask(
-                psj, schema, catalog, user, rung,
+                psj, schema, views, rung,
                 excuse=excuse if rung.existential_closure else None,
-                selfjoin_pool=selfjoin_pool if rung.self_joins else None,
                 budget=budget,
                 materialize=materialize,
             )

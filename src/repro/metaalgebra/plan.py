@@ -10,7 +10,8 @@ Stages (each recorded in :class:`MaskDerivation` so the experiment
 harness can print the paper's intermediate tables):
 
 1. *Stage-one pruning* — keep only meta-tuples of views the user may
-   access that are "defined in these relations in their entirety".
+   access that are "defined in these relations in their entirety"
+   (the caller's :class:`~repro.meta.catalog.ViewSnapshot`).
 2. *Self-join closure* (refinement 3, when enabled) — extend each
    pruned meta-relation with lossless combinations across views.
 3. *Padded product* (Definition 1 + refinement 1).
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.algebra.expression import AtomicCondition, PSJQuery
 from repro.algebra.schema import DatabaseSchema
 from repro.config import DEFAULT_CONFIG, EngineConfig
-from repro.meta.catalog import PermissionCatalog
+from repro.meta.catalog import ViewSnapshot
 from repro.meta.metatuple import MetaTuple
 from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.product import meta_product, meta_product_streaming
@@ -87,21 +88,22 @@ class MaskDerivation:
 def derive_mask(
     psj: PSJQuery,
     schema: DatabaseSchema,
-    catalog: PermissionCatalog,
-    user: str,
+    views: ViewSnapshot,
     config: EngineConfig = DEFAULT_CONFIG,
     excuse: Optional[ExcusePredicate] = None,
-    selfjoin_pool: Optional[Dict[str, Tuple[MetaTuple, ...]]] = None,
     budget: Optional[Budget] = None,
     materialize: bool = False,
 ) -> MaskDerivation:
-    """Derive the permission mask for ``user``'s query ``psj``.
+    """Derive the permission mask of query ``psj`` over ``views``.
+
+    The result is a function of its arguments alone: ``views`` is the
+    user's admissible views (``PermissionCatalog.snapshot``), so the
+    catalog is never re-read and the self-join closure ranges over
+    those views only.
 
     Args:
         excuse: existential-closure predicate (wired by the engine when
             ``config.existential_closure`` is set).
-        selfjoin_pool: pre-computed self-join closure per relation (the
-            engine's per-user cache); computed on the fly when absent.
         budget: optional resource budget checked at operator
             boundaries; exhaustion raises
             :class:`~repro.errors.BudgetExceededError` or
@@ -116,33 +118,21 @@ def derive_mask(
     """
     maybe_fault("plan", budget)
     relations = sorted(psj.relation_names())
-    admissible = catalog.admissible_views(user, relations)
-    store = catalog.store_for(admissible)
-    defining = catalog.defining_tuples(admissible)
+    store = views.store()
+    defining = views.defining_tuples()
 
-    admissible_set = frozenset(admissible)
     pruned_meta: Dict[str, Tuple[MetaTuple, ...]] = {}
     selfjoin_added: Dict[str, Tuple[MetaTuple, ...]] = {}
     for relation in relations:
-        originals = catalog.tuples_for(relation, admissible)
+        originals = views.tuples_for(relation)
         pruned_meta[relation] = originals
         if config.self_joins:
-            if selfjoin_pool is not None and relation in selfjoin_pool:
-                # The cached closure spans all of the user's views;
-                # keep only combinations built entirely from views that
-                # are admissible for *this* query (stage-one pruning
-                # applies to combined tuples too).
-                added = tuple(
-                    t for t in selfjoin_pool[relation]
-                    if t.views <= admissible_set
-                )
-            else:
-                added = selfjoin_closure(
-                    schema.get(relation), originals, store,
-                    config.max_selfjoin_rounds,
-                    config.max_selfjoin_tuples,
-                    budget=budget,
-                )
+            added = selfjoin_closure(
+                schema.get(relation), originals, store,
+                config.max_selfjoin_rounds,
+                config.max_selfjoin_tuples,
+                budget=budget,
+            )
             selfjoin_added[relation] = added
             if budget is not None:
                 budget.charge_selfjoin(
@@ -183,7 +173,7 @@ def derive_mask(
             )
 
     derivation = MaskDerivation(
-        admissible_views=admissible,
+        admissible_views=views.names,
         pruned_meta=pruned_meta,
         selfjoin_added=selfjoin_added,
         raw_product=product.deduped(),  # display form, provenance-blind

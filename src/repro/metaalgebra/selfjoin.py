@@ -26,8 +26,10 @@ Implementation notes:
   dangling-reference pruning exact.
 
 "Self-joins need not be generated for every query; once generated, they
-should be stored with the original view definitions" — the engine
-caches the closure per user and invalidates it on catalog changes.
+should be stored with the original view definitions" — ``derive_mask``
+computes the closure over a derivation's admissible views, under its
+budget, and the engine's derivation cache keeps it with the derivation,
+keyed by those views' definition serials.
 """
 
 from __future__ import annotations

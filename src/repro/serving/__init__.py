@@ -1,11 +1,11 @@
 """Concurrent multi-tenant authorization serving.
 
 The serving layer fronts :class:`~repro.core.engine.AuthorizationEngine`
-with a thread-pool batch server (:mod:`repro.serving.server`), a
-lock-striped sharded derivation cache (:mod:`repro.serving.shards`),
-per-tenant isolation (:mod:`repro.serving.tenants`), and admission
-control that sheds fidelity down the degradation ladder instead of
-queueing unboundedly (:mod:`repro.serving.admission`).  See
+with a thread-pool batch server (:mod:`repro.serving.server`),
+per-tenant isolation with one engine, catalog and derivation cache
+each (:mod:`repro.serving.tenants`), and admission control that sheds
+fidelity down the degradation ladder instead of queueing unboundedly
+(:mod:`repro.serving.admission`).  See
 docs/SERVING.md for the architecture and its soundness arguments.
 """
 
@@ -19,7 +19,6 @@ from repro.serving.server import (
     ServerConfig,
     ServerTelemetry,
 )
-from repro.serving.shards import ShardedDerivationCache
 from repro.serving.tenants import Tenant, TenantRegistry
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "AuthorizationServer",
     "ServerConfig",
     "ServerTelemetry",
-    "ShardedDerivationCache",
     "Tenant",
     "TenantRegistry",
 ]

@@ -52,7 +52,6 @@ from repro.serving.admission import (
     AdmissionSnapshot,
 )
 from repro.resilience.breaker import OPEN
-from repro.serving.shards import ShardedDerivationCache
 from repro.serving.tenants import Tenant, TenantRegistry
 from repro.testing.faults import maybe_fault
 
@@ -73,10 +72,9 @@ class ServerConfig:
     #: plan-duplicated batches (the queue is drained early the moment
     #: it reaches ``max_batch``, and lingering never delays shutdown).
     batch_linger_ms: float = 0.0
-    #: Per-tenant derivation-cache capacity (0 disables caching).
+    #: Per-tenant derivation-cache capacity, passed as each tenant
+    #: engine's ``derivation_cache_size`` (0 disables caching).
     cache_capacity: int = 1024
-    #: Lock stripes per tenant cache.
-    cache_shards: int = 8
     #: Backlog thresholds for admission control.
     admission: AdmissionPolicy = AdmissionPolicy()
     #: Per-tenant audit-trail capacity (None keeps every record;
@@ -203,8 +201,8 @@ class AuthorizationServer:
         backend: Optional[str] = None,
     ) -> Tenant:
         """Create and register a tenant with a serving-grade engine:
-        a lock-striped sharded derivation cache and its own audit
-        trail, fully isolated from every other tenant.
+        a derivation cache of ``cache_capacity`` entries and its own
+        audit trail, fully isolated from every other tenant.
 
         ``backend`` overrides the server-wide execution backend for
         this tenant only (see ``EngineConfig.backend``), so a fleet
@@ -216,17 +214,13 @@ class AuthorizationServer:
         if self.config.audit_capacity is None \
                 or self.config.audit_capacity > 0:
             audit = AuditLog(self.config.audit_capacity)
-        engine_config = self.config.engine
+        engine_config = self.config.engine.but(
+            derivation_cache_size=self.config.cache_capacity
+        )
         if backend is not None:
             engine_config = engine_config.but(backend=backend)
         engine = AuthorizationEngine(
-            database,
-            catalog=catalog,
-            config=engine_config,
-            audit=audit,
-            derivation_cache=ShardedDerivationCache(
-                self.config.cache_capacity, self.config.cache_shards
-            ),
+            database, catalog=catalog, config=engine_config, audit=audit,
         )
         return self.tenants.add(Tenant(name=name, engine=engine))
 

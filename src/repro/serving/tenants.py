@@ -5,8 +5,8 @@ grants, revocations, cached derivations, and audit trail are invisible
 to tenant B.  Rather than tagging shared structures with tenant ids
 (and auditing every lookup for a missing tag), each :class:`Tenant`
 owns a complete engine stack: its own :class:`PermissionCatalog`, its
-own sharded derivation cache, and its own :class:`AuditLog`.  Cache
-keys from different tenants can collide on ``(user, plan_key)``
+own derivation cache, and its own :class:`AuditLog`.  Cache keys from
+different tenants can collide on ``(plan key, definition serials)``
 harmlessly because they never share a cache.
 
 :class:`TenantRegistry` is the thread-safe name → tenant map the

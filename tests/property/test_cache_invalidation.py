@@ -1,12 +1,15 @@
 """Property tests: the derivation cache never serves a stale mask.
 
 Random interleavings of ``permit`` / ``revoke`` / ``define_view`` /
-``authorize`` run against two engines over the *same* database and
-catalog — one with the cache on, one with it off.  After every single
-operation the cached engine must deliver exactly what the uncached
-engine delivers, for every user: in particular, after any revoke the
-very next authorize for that user reflects it.  Cache keys are scoped
-by user, so one user's entries can never answer another's request.
+``drop_view`` / redefinition / ``authorize`` run against two engines
+over the *same* database and catalog — one with the cache on, one with
+it off.  After every single operation the cached engine must deliver
+exactly what the uncached engine delivers, for every user: in
+particular, after any revoke the very next authorize for that user
+reflects it.  Cache keys name the plan and the definition serials of
+the admissible views, not the user, so users holding equal admissible
+views share entries; the workloads include a user whose grants copy
+another's to exercise that sharing.
 
 The example budget is small by default so the tier-1 run stays fast;
 the nightly CI job raises ``REPRO_HYPOTHESIS_MAX_EXAMPLES`` (see
@@ -40,7 +43,8 @@ seeds = st.integers(min_value=0, max_value=10_000)
 #: reduced modulo the live view/user/query pools.
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["permit", "revoke", "define", "authorize"]),
+        st.sampled_from(["permit", "revoke", "define", "drop",
+                         "redefine", "authorize"]),
         st.integers(min_value=0, max_value=63),
         st.integers(min_value=0, max_value=63),
     ),
@@ -57,12 +61,19 @@ def observable(answer):
     )
 
 
+#: A user whose grants start as a copy of the first user's.
+COPY = "copy"
+
+
 def build_pair(seed):
-    """Two engines over one shared database and catalog."""
+    """Two engines over one shared database and catalog, whose grants
+    include :data:`COPY`."""
     generator = WorkloadGenerator(seed)
     spec = WorkloadSpec(seed=seed, relations=3, views=3, users=2,
                         rows_per_relation=6)
     workload = generator.workload(spec)
+    for view_name in workload.catalog.views_of(workload.users[0]):
+        workload.catalog.permit(view_name, COPY)
     cached = AuthorizationEngine(
         workload.database, workload.catalog, DEFAULT_CONFIG
     )
@@ -83,14 +94,28 @@ class TestInterleavings:
         generator, spec, workload, cached, uncached, queries = \
             build_pair(seed)
         catalog = workload.catalog
-        users = list(workload.users)
+        users = list(workload.users) + [COPY]
         fresh_views = 0
 
         for opcode, a, b in steps:
             views = list(catalog.view_names())
             user = users[a % len(users)]
+            if not views and opcode in ("permit", "drop", "redefine"):
+                continue  # every view was dropped: nothing to pick
             if opcode == "permit":
                 catalog.permit(views[b % len(views)], user)
+            elif opcode == "drop":
+                catalog.drop_view(views[b % len(views)])
+            elif opcode == "redefine":
+                # Same name, another body, granted to the same users.
+                name = views[b % len(views)]
+                holders = [u for u in users if catalog.is_permitted(u, name)]
+                catalog.drop_view(name)
+                catalog.define_view(generator.view(
+                    spec, workload.database.schema, name
+                ))
+                for holder in holders:
+                    catalog.permit(name, holder)
             elif opcode == "revoke":
                 granted = catalog.views_of(user)
                 if granted:
@@ -125,10 +150,11 @@ class TestInterleavings:
     def test_revoke_never_leaves_a_stale_grant(self, seed):
         _, _, workload, cached, uncached, queries = build_pair(seed)
         catalog = workload.catalog
-        for user in workload.users:
+        users = list(workload.users) + [COPY]
+        for user in users:
             for query in queries:
                 cached.authorize(user, query)  # warm the cache
-        for user in workload.users:
+        for user in users:
             for view_name in list(catalog.views_of(user)):
                 catalog.revoke(view_name, user)
                 for query in queries:
@@ -140,15 +166,14 @@ class TestInterleavings:
 
     @SLOW
     @given(seeds)
-    def test_cache_entries_are_user_scoped(self, seed):
-        _, _, workload, cached, _, queries = build_pair(seed)
+    def test_equal_admissible_views_share_an_entry(self, seed):
+        _, _, workload, cached, uncached, queries = build_pair(seed)
         query = queries[0]
-        for user in workload.users:
-            cached.authorize(user, query)
-        # Same plan, two users: two distinct entries, never shared.
-        assert sorted(cached._derivation_cache.users()) == \
-            sorted(set(workload.users))
-        for user in workload.users:
-            assert cached.authorize(user, query).cache_hit, (
-                f"seed={seed} user={user}"
-            )
+        cached.authorize(workload.users[0], query)
+        # COPY holds the same views, so the same key: one entry, and
+        # it answers COPY exactly as an uncached derivation would.
+        shared = cached.authorize(COPY, query)
+        assert shared.cache_hit, f"seed={seed}"
+        assert len(cached._derivation_cache) == 1
+        assert observable(shared) == \
+            observable(uncached.authorize(COPY, query)), f"seed={seed}"

@@ -1,20 +1,17 @@
-"""Property tests: the sharded serving cache is the single-lock cache.
+"""Property tests: the derivation cache under real thread interleavings.
 
-Two layers of evidence.  Sequentially, Hypothesis drives random op
-interleavings through a :class:`ShardedDerivationCache` and the
-reference :class:`DerivationCache` side by side and demands identical
-observable behaviour — every lookup result, the live-entry population,
-and the statistics.  Concurrently, thread hammers check the properties
-that cannot be shown by sequential equivalence: a lookup never returns
-an entry stored under a different token (the transparency invariant
-that makes revocation safe), statistics account for every lookup with
-no lost increments, user invalidation never touches a bystander's
-entries, and per-shard LRU keeps total occupancy within the configured
-bound.
+The serving layer calls one tenant engine, and so one
+:class:`DerivationCache`, from many worker threads.  Thread hammers
+check what sequential tests cannot: a lookup never returns an entry
+stored under a different key (the content-key invariant that makes
+revocation safe: a revoke changes the key, so the old entry is
+unreachable), statistics account for every lookup with no lost
+increments, and the LRU bound holds exactly.
 
 Payloads are plain tagged strings: the cache stores and serves
 derivations opaquely (the engine revalidates types on the way out), so
 the properties here are purely about bookkeeping under interleaving.
+Keys have the engine's shape, ``(plan key, definition serials)``.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.cache import DerivationCache
-from repro.serving.shards import ShardedDerivationCache
 
 pytestmark = pytest.mark.slow
 
@@ -39,118 +35,43 @@ SLOW = settings(
 )
 
 USERS = ["ann", "bob", "cay"]
-KEYS = [f"plan{i}" for i in range(6)]
-TOKENS = [(0, 0), (0, 1), (1, 0), (2, 3)]
-
-#: One step: (opcode, user pick, key pick, token pick).
-ops = st.lists(
-    st.tuples(
-        st.sampled_from(["get", "put", "invalidate", "clear"]),
-        st.integers(min_value=0, max_value=63),
-        st.integers(min_value=0, max_value=63),
-        st.integers(min_value=0, max_value=63),
-    ),
-    min_size=1,
-    max_size=40,
-)
+PLANS = [f"plan{i}" for i in range(6)]
 
 
-def stat_triple(cache):
-    stats = cache.stats
-    return (stats.hits, stats.misses, stats.invalidations,
-            stats.evictions)
-
-
-class TestSequentialEquivalence:
-    @SLOW
-    @given(ops, st.integers(min_value=1, max_value=7))
-    def test_sharded_matches_the_reference_cache(self, steps, shards):
-        """Same ops in, same observations out — for any shard count.
-
-        Capacity is large enough that eviction never fires: per-shard
-        LRU is the one deliberate behavioural difference, and it gets
-        its own bound test below.
-        """
-        sharded = ShardedDerivationCache(1024, shards=shards)
-        reference = DerivationCache(1024)
-        for seq, (opcode, a, b, c) in enumerate(steps):
-            user = USERS[a % len(USERS)]
-            key = KEYS[b % len(KEYS)]
-            token = TOKENS[c % len(TOKENS)]
-            if opcode == "get":
-                assert sharded.get(user, key, token) == \
-                    reference.get(user, key, token), f"step {seq}"
-            elif opcode == "put":
-                value = f"derivation#{seq}"
-                sharded.put(user, key, token, value)
-                reference.put(user, key, token, value)
-            elif opcode == "invalidate":
-                sharded.invalidate_user(user)
-                reference.invalidate_user(user)
-            else:
-                sharded.clear()
-                reference.clear()
-        assert len(sharded) == len(reference)
-        assert set(sharded.users()) == set(reference.users())
-        assert stat_triple(sharded) == stat_triple(reference)
-
-    @SLOW
-    @given(ops)
-    def test_compiled_attachments_match_too(self, steps):
-        sharded = ShardedDerivationCache(1024, shards=3)
-        reference = DerivationCache(1024)
-        for seq, (opcode, a, b, c) in enumerate(steps):
-            user = USERS[a % len(USERS)]
-            key = KEYS[b % len(KEYS)]
-            token = TOKENS[c % len(TOKENS)]
-            if opcode == "get":
-                assert sharded.get_compiled(user, key, token) == \
-                    reference.get_compiled(user, key, token), \
-                    f"step {seq}"
-            elif opcode == "put":
-                value = f"derivation#{seq}"
-                sharded.put(user, key, token, value)
-                reference.put(user, key, token, value)
-                sharded.put_compiled(user, key, token, f"kernel#{seq}")
-                reference.put_compiled(user, key, token,
-                                       f"kernel#{seq}")
-            elif opcode == "invalidate":
-                sharded.invalidate_user(user)
-                reference.invalidate_user(user)
-            else:
-                sharded.clear()
-                reference.clear()
+def key(plan, *serials):
+    return (plan, serials)
 
 
 class TestConcurrentHammer:
     def test_lookups_never_cross_token_generations(self):
-        """The transparency invariant under real interleavings: a get
-        with token T only ever returns a value stored under exactly T
-        — so a revoked user's old derivations are unservable the
-        instant the catalog bumps their token, no matter how many
-        threads are racing the bump."""
-        cache = ShardedDerivationCache(256, shards=4)
-        current = {"version": 0}
+        """The content-key invariant under real interleavings: a get
+        of key K only ever returns a value stored under exactly K.
+        Each user's serials advance as a revoker thread races the
+        hammers (the analogue of grant changes), so every generation
+        of a user's grants has its own keys and an old generation's
+        value can never answer a new generation's lookup."""
+        cache = DerivationCache(256)
+        current = {"serial": 0}
         violations = []
         stop = threading.Event()
 
         def hammer(user):
+            index = USERS.index(user)
             while not stop.is_set():
-                version = current["version"]
-                token = (0, version)
-                for key in KEYS:
-                    cache.put(user, key, token, f"{user}@{version}")
-                probe_version = current["version"]
-                probe = (0, probe_version)
-                for key in KEYS:
-                    value = cache.get(user, key, probe)
+                serial = current["serial"]
+                for plan in PLANS:
+                    cache.put(key(plan, index, serial),
+                              f"{plan}/{index}/{serial}")
+                probe = current["serial"]
+                for plan in PLANS:
+                    value = cache.get(key(plan, index, probe))
                     if value is not None and \
-                            value != f"{user}@{probe_version}":
+                            value != f"{plan}/{index}/{probe}":
                         violations.append((user, value, probe))
 
         def revoker():
             for _ in range(200):
-                current["version"] += 1
+                current["serial"] += 1
 
         threads = [
             threading.Thread(target=hammer, args=(user,), daemon=True)
@@ -170,18 +91,16 @@ class TestConcurrentHammer:
         """hits + misses must equal the exact number of lookups even
         when every counter is contended — a lost increment means the
         stats lock is broken."""
-        cache = ShardedDerivationCache(256, shards=4)
-        token = (0, 0)
+        cache = DerivationCache(256)
         lookups_per_thread = 500
         threads = 6
 
         def worker(index):
-            user = USERS[index % len(USERS)]
             for i in range(lookups_per_thread):
-                key = KEYS[i % len(KEYS)]
+                entry = key(PLANS[i % len(PLANS)], index % len(USERS))
                 if i % 3 == 0:
-                    cache.put(user, key, token, f"{user}/{key}")
-                cache.get(user, key, token)
+                    cache.put(entry, f"{entry}")
+                cache.get(entry)
 
         pool = [
             threading.Thread(target=worker, args=(i,), daemon=True)
@@ -196,65 +115,27 @@ class TestConcurrentHammer:
         assert stats.evictions == 0
         assert stats.invalidations == 0
 
-    def test_invalidation_never_touches_bystanders(self):
-        """Concurrent invalidate_user('ann') storms must leave bob's
-        live entries exactly as stored."""
-        cache = ShardedDerivationCache(256, shards=4)
-        token = (0, 0)
-        stop = threading.Event()
-
-        def ann_writer():
-            while not stop.is_set():
-                for key in KEYS:
-                    cache.put("ann", key, token, f"ann/{key}")
-
-        def invalidator():
-            for _ in range(300):
-                cache.invalidate_user("ann")
-
-        for key in KEYS:
-            cache.put("bob", key, token, f"bob/{key}")
-
-        writer = threading.Thread(target=ann_writer, daemon=True)
-        storm = threading.Thread(target=invalidator, daemon=True)
-        writer.start()
-        storm.start()
-        storm.join()
-        stop.set()
-        writer.join()
-        for key in KEYS:
-            assert cache.get("bob", key, token) == f"bob/{key}"
-
 
 class TestEvictionBound:
     @SLOW
     @given(
         st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=120),
     )
     def test_occupancy_never_exceeds_the_rounded_capacity(
-            self, capacity, shards, puts):
-        """Per-shard LRU bounds total occupancy by
-        ``shards * ceil(capacity / shards)`` — within ``shards - 1``
-        slots of the configured capacity, never unbounded."""
-        cache = ShardedDerivationCache(capacity, shards=shards)
-        token = (0, 0)
+            self, capacity, puts):
+        """One global LRU: occupancy never exceeds the configured
+        capacity, and every store past it evicts exactly one entry."""
+        cache = DerivationCache(capacity)
         for i in range(puts):
-            cache.put("ann", f"plan{i}", token, f"d{i}")
-        per_shard = -(-capacity // shards)
-        assert len(cache) <= shards * per_shard
-        assert len(cache) <= min(puts, capacity + shards - 1)
+            cache.put(key(f"plan{i}", 0), f"d{i}")
+        assert len(cache) == min(puts, capacity)
         assert cache.stats.evictions == puts - len(cache)
 
     def test_disabled_cache_stores_nothing(self):
-        cache = ShardedDerivationCache(0, shards=4)
+        cache = DerivationCache(0)
         assert not cache.enabled
-        cache.put("ann", "plan0", (0, 0), "d")
-        assert cache.get("ann", "plan0", (0, 0)) is None
+        cache.put(key("plan0", 0), "d")
+        assert cache.get(key("plan0", 0)) is None
         assert len(cache) == 0
         assert cache.stats.lookups == 0
-
-    def test_shard_count_validation(self):
-        with pytest.raises(ValueError):
-            ShardedDerivationCache(16, shards=0)

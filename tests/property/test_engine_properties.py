@@ -102,8 +102,11 @@ class TestDeliveryModesMatchOracle:
             batch = engine.authorize_batch(user, queries + queries)
             for index, query in enumerate(queries):
                 plan = compile_query(query, schema)
-                mask = derive_mask(plan, schema, workload.catalog, user,
-                                   config, materialize=True).mask
+                views = workload.catalog.snapshot(
+                    user, plan.relation_names()
+                )
+                mask = derive_mask(plan, schema, views, config,
+                                   materialize=True).mask
                 want = Mask.from_table(mask).apply(
                     evaluate_naive(plan, workload.database),
                     drop_fully_masked=drop,

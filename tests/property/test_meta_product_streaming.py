@@ -50,15 +50,13 @@ def product_inputs(seed):
     plan = compile_query(generator.query(spec, schema), schema)
     catalog = workload.catalog
     user = workload.users[0]
-    relations = sorted(plan.relation_names())
-    admissible = catalog.admissible_views(user, relations)
-    store = catalog.store_for(admissible)
-    defining = catalog.defining_tuples(admissible)
+    views = catalog.snapshot(user, plan.relation_names())
+    store = views.store()
+    defining = views.defining_tuples()
     columns = plan.product_columns(schema)
     arities = [schema.get(o.relation).arity for o in plan.occurrences]
     operands = [
-        list(catalog.tuples_for(o.relation, admissible))
-        for o in plan.occurrences
+        list(views.tuples_for(o.relation)) for o in plan.occurrences
     ]
     return columns, operands, arities, store, defining, plan, workload, user
 
@@ -124,10 +122,9 @@ class TestPipelineIdentity:
         columns, operands, arities, store, defining, plan, workload, \
             user = product_inputs(seed)
         schema = workload.database.schema
-        streaming = derive_mask(plan, schema, workload.catalog, user)
-        materializing = derive_mask(
-            plan, schema, workload.catalog, user, materialize=True,
-        )
+        views = workload.catalog.snapshot(user, plan.relation_names())
+        streaming = derive_mask(plan, schema, views)
+        materializing = derive_mask(plan, schema, views, materialize=True)
         assert streaming.mask.rows == materializing.mask.rows, \
             f"seed={seed}"
         assert [t.rows for _, t in streaming.after_selections] \

@@ -86,30 +86,30 @@ class TestPermissions:
 
 class TestPruningServices:
     def test_admissible_views_example1(self, paper_catalog):
-        assert paper_catalog.admissible_views("Brown", ["PROJECT"]) == \
+        assert paper_catalog.snapshot("Brown", ["PROJECT"]).names == \
             ("PSA",)
 
     def test_admissible_views_example2(self, paper_catalog):
-        admissible = paper_catalog.admissible_views(
+        admissible = paper_catalog.snapshot(
             "Klein", ["EMPLOYEE", "ASSIGNMENT", "PROJECT"]
-        )
+        ).names
         assert set(admissible) == {"ELP", "EST"}
 
     def test_admissible_views_example3(self, paper_catalog):
-        admissible = paper_catalog.admissible_views("Brown", ["EMPLOYEE"])
+        admissible = paper_catalog.snapshot("Brown", ["EMPLOYEE"]).names
         assert set(admissible) == {"SAE", "EST"}
 
     def test_tuples_for(self, paper_catalog):
-        tuples = paper_catalog.tuples_for("EMPLOYEE", ["SAE", "EST"])
-        assert len(tuples) == 3  # SAE once, EST twice
+        views = paper_catalog.snapshot_of(["SAE", "EST"])
+        assert len(views.tuples_for("EMPLOYEE")) == 3  # SAE once, EST twice
 
     def test_store_for(self, paper_catalog):
-        store = paper_catalog.store_for(["ELP"])
+        store = paper_catalog.snapshot_of(["ELP"]).store()
         assert store.interval_for("x3").contains(250_000)
-        assert paper_catalog.store_for(["SAE"]).is_empty()
+        assert paper_catalog.snapshot_of(["SAE"]).store().is_empty()
 
     def test_defining_tuples(self, paper_catalog):
-        defining = paper_catalog.defining_tuples(["ELP", "EST"])
+        defining = paper_catalog.snapshot_of(["ELP", "EST"]).defining_tuples()
         assert defining["x1"] == frozenset({("ELP", 0), ("ELP", 2)})
         assert defining["x4"] == frozenset({("EST", 0), ("EST", 1)})
         # x3 appears in one meta-tuple only (plus COMPARISON).

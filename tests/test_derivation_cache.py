@@ -6,8 +6,9 @@ must produce identical delivered relations and inferred permits — the
 cache may change *when* a mask is computed, never *what* is delivered.
 ``authorize_batch`` must equal a loop of ``authorize``.  The suite
 also pins the cache mechanics: hit/miss/invalidation/eviction
-accounting, user isolation, and the per-user scoping of the self-join
-closure cache.
+accounting, and keys that name the plan and the definition serials of
+the admissible views, so a grant or definition change yields another
+key while an unrelated one leaves the entry live.
 """
 
 from __future__ import annotations
@@ -170,11 +171,16 @@ class TestCacheMechanics:
         assert stats.hits == 0
 
     def test_invalidation_counted_on_grant_change(self):
+        # A grant change moves the user to another key: the next
+        # lookup misses without discarding anything, and permitting
+        # the view back makes the old key, and its entry, current.
         engine = hospital_scenario().engine
         engine.authorize("nurse", HOSPITAL_QUERIES[0])
         engine.revoke("NURSE_VIEW", "nurse")
-        engine.authorize("nurse", HOSPITAL_QUERIES[0])
-        assert engine.stats().invalidations == 1
+        assert not engine.authorize("nurse", HOSPITAL_QUERIES[0]).cache_hit
+        engine.permit("NURSE_VIEW", "nurse")
+        assert engine.authorize("nurse", HOSPITAL_QUERIES[0]).cache_hit
+        assert engine.stats().invalidations == 0
 
     def test_grant_to_other_user_keeps_entries_live(self):
         engine = hospital_scenario().engine
@@ -184,13 +190,56 @@ class TestCacheMechanics:
         assert answer.cache_hit
         assert engine.stats().invalidations == 0
 
-    def test_view_definition_invalidates_globally(self):
+    def test_redefinition_invalidates_only_keys_citing_it(self):
         engine = hospital_scenario().engine
+        patients, billing = HOSPITAL_QUERIES[0], HOSPITAL_QUERIES[2]
+        engine.authorize("nurse", patients)
+        engine.authorize("billing", billing)
+        # Same name, another body: a new serial, so a new key.
+        catalog = engine.catalog
+        catalog.drop_view("NURSE_VIEW")
+        catalog.define_view("view NURSE_VIEW (PATIENT.PID, PATIENT.NAME)")
+        catalog.permit("NURSE_VIEW", "nurse")
+        redefined = engine.authorize("nurse", patients)
+        assert not redefined.cache_hit
+        assert engine.authorize("billing", billing).cache_hit
+        assert engine.stats().invalidations == 0
+        fresh = hospital_scenario(CACHE_OFF).engine
+        fresh.catalog.drop_view("NURSE_VIEW")
+        fresh.catalog.define_view(
+            "view NURSE_VIEW (PATIENT.PID, PATIENT.NAME)"
+        )
+        fresh.catalog.permit("NURSE_VIEW", "nurse")
+        assert observable(redefined) == \
+            observable(fresh.authorize("nurse", patients))
+
+    def test_permit_during_derivation_cannot_widen_a_shared_entry(
+            self, monkeypatch):
+        # nurse and research hold the same admissible views for this
+        # query, so they share one key.  A permit that lands after
+        # nurse's key was taken but before the derivation ran must not
+        # reach the derivation: the entry stored under the pre-permit
+        # key is what research is then served.
+        import repro.core.engine as engine_module
+
+        engine = hospital_scenario().engine
+        engine.define_view(
+            "view ALL_PATIENTS (PATIENT.PID, PATIENT.NAME, PATIENT.WARD)"
+        )
+        derive = engine_module.derive_mask_resilient
+
+        def racing(*args, **kwargs):
+            engine.permit("ALL_PATIENTS", "nurse")
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "derive_mask_resilient", racing)
         engine.authorize("nurse", HOSPITAL_QUERIES[0])
-        engine.define_view("view SCRATCH (PATIENT.PID, PATIENT.NAME)")
-        answer = engine.authorize("nurse", HOSPITAL_QUERIES[0])
-        assert not answer.cache_hit
-        assert engine.stats().invalidations == 1
+        monkeypatch.undo()
+        shared = engine.authorize("research", HOSPITAL_QUERIES[0])
+        assert shared.cache_hit
+        cold = hospital_scenario(CACHE_OFF).engine
+        assert observable(shared) == \
+            observable(cold.authorize("research", HOSPITAL_QUERIES[0]))
 
     def test_audit_records_cache_hits(self):
         from repro.core.audit import AuditLog
@@ -224,46 +273,51 @@ class TestDerivationCacheUnit:
     def test_capacity_zero_is_inert(self):
         cache = DerivationCache(0)
         assert not cache.enabled
-        assert cache.get("u", ("k",), (0, 0)) is None
-        cache.put("u", ("k",), (0, 0), object())
+        assert cache.get(("k", (1,))) is None
+        cache.put(("k", (1,)), object())
         assert len(cache) == 0
         assert cache.stats.lookups == 0
 
     def test_token_mismatch_is_invalidation(self):
+        # Other serials are another key: a plain miss that discards
+        # nothing, and the old entry still answers its own key.
         cache = DerivationCache(4)
         marker = object()
-        cache.put("u", ("k",), (0, 0), marker)
-        assert cache.get("u", ("k",), (0, 0)) is marker
-        assert cache.get("u", ("k",), (0, 1)) is None
-        assert cache.stats.invalidations == 1
-        assert len(cache) == 0
+        cache.put(("k", (1,)), marker)
+        assert cache.get(("k", (1,))) is marker
+        assert cache.get(("k", (1, 2))) is None
+        assert (cache.stats.misses, cache.stats.invalidations) == (1, 0)
+        assert cache.get(("k", (1,))) is marker
 
     def test_keys_are_scoped_by_user(self):
+        # Keys name no user: requests are told apart by the serials
+        # of their admissible views, and equal serials share.
         cache = DerivationCache(4)
         mine, yours = object(), object()
-        cache.put("alice", ("k",), (0, 0), mine)
-        cache.put("bob", ("k",), (0, 0), yours)
-        assert cache.get("alice", ("k",), (0, 0)) is mine
-        assert cache.get("bob", ("k",), (0, 0)) is yours
-        assert sorted(cache.users()) == ["alice", "bob"]
+        cache.put(("k", (1,)), mine)
+        cache.put(("k", (2,)), yours)
+        assert cache.get(("k", (1,))) is mine
+        assert cache.get(("k", (2,))) is yours
+        assert len(cache) == 2
 
     def test_lru_order(self):
         cache = DerivationCache(2)
         a, b, c = object(), object(), object()
-        cache.put("u", ("a",), (0, 0), a)
-        cache.put("u", ("b",), (0, 0), b)
-        cache.get("u", ("a",), (0, 0))      # refresh a
-        cache.put("u", ("c",), (0, 0), c)   # evicts b
-        assert cache.get("u", ("a",), (0, 0)) is a
-        assert cache.get("u", ("b",), (0, 0)) is None
+        cache.put(("a", ()), a)
+        cache.put(("b", ()), b)
+        cache.get(("a", ()))      # refresh a
+        cache.put(("c", ()), c)   # evicts b
+        assert cache.get(("a", ())) is a
+        assert cache.get(("b", ())) is None
         assert cache.stats.evictions == 1
 
     def test_invalidate_user_and_clear(self):
+        # clear() is the one way to invalidate, and what it counts.
         cache = DerivationCache(8)
-        cache.put("alice", ("k",), (0, 0), object())
-        cache.put("bob", ("k",), (0, 0), object())
-        cache.invalidate_user("alice")
-        assert cache.users() == ("bob",)
+        cache.put(("k", (1,)), object())
+        cache.put(("k", (2,)), object())
+        cache.put_compiled(("k", (1,)), object())
         cache.clear()
         assert len(cache) == 0
+        assert cache.get_compiled(("k", (1,))) is None
         assert cache.stats.invalidations == 2

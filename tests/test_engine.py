@@ -87,29 +87,35 @@ class TestGrantManagement:
 
 
 class TestSelfJoinCache:
+    """The self-join closure is part of each derivation and is cached
+    with it, under the definition serials of the admissible views."""
+
     def test_cache_is_populated_and_reused(self, paper_engine):
-        paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
-        assert "Brown" in paper_engine._selfjoin_cache
-        _, pool = paper_engine._selfjoin_cache["Brown"]
-        assert len(pool["EMPLOYEE"]) == 2
-        # A second call reuses the same pool object.
-        paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
-        assert paper_engine._selfjoin_cache["Brown"][1] is pool
+        first = paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
+        assert len(first.derivation.selfjoin_added["EMPLOYEE"]) == 2
+        # A second call reuses the same derivation, closure included.
+        second = paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
+        assert second.cache_hit
+        assert second.derivation is first.derivation
 
     def test_other_users_grants_do_not_invalidate(self, paper_engine):
-        paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
-        _, pool = paper_engine._selfjoin_cache["Brown"]
+        first = paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
         # A grant mutation for a *different* user must not flush
-        # Brown's closure (regression: the cache used to be cleared
-        # globally on any catalog version bump).
+        # Brown's closure.
         paper_engine.permit("PSA", "Klein")
         paper_engine.revoke("PSA", "Klein")
-        assert paper_engine._selfjoin_pool("Brown") is pool
-        # A view definition change invalidates globally.
+        again = paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
+        assert again.derivation is first.derivation
+        # Nor does a view Brown does not hold; granting it to Brown
+        # changes Brown's admissible views, and so the key.
         paper_engine.define_view(
             "view SCRATCH (EMPLOYEE.NAME, EMPLOYEE.TITLE)"
         )
-        assert paper_engine._selfjoin_pool("Brown") is not pool
+        assert paper_engine.authorize("Brown", EXAMPLE_3_QUERY).cache_hit
+        paper_engine.permit("SCRATCH", "Brown")
+        widened = paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
+        assert not widened.cache_hit
+        assert "SCRATCH" in widened.derivation.admissible_views
 
     def test_cache_invalidated_on_grant_changes(self, paper_engine):
         paper_engine.authorize("Brown", EXAMPLE_3_QUERY)
@@ -128,10 +134,12 @@ class TestSelfJoinCache:
         plan = compile_query(
             parse_query(EXAMPLE_3_QUERY), paper_engine.database.schema
         )
+        paper_engine.derive("Brown", EXAMPLE_3_QUERY)  # populate
         cached = paper_engine.derive("Brown", EXAMPLE_3_QUERY)
         uncached = derive_mask(
-            plan, paper_engine.database.schema, paper_engine.catalog,
-            "Brown", paper_engine.config, selfjoin_pool=None,
+            plan, paper_engine.database.schema,
+            paper_engine.catalog.snapshot("Brown", plan.relation_names()),
+            paper_engine.config,
         )
         assert [meta_tuple_cells(r.meta) for r in cached.mask.rows] == \
             [meta_tuple_cells(r.meta) for r in uncached.mask.rows]

@@ -1,7 +1,10 @@
 """Unit tests for the soundness oracle."""
 
+import pytest
+
 from repro.baselines.oracle import (
     check_non_interference,
+    delivered_rows,
     delivered_view,
     materialize_view,
     materialize_views,
@@ -91,3 +94,46 @@ class TestNonInterference:
 
         answer = paper_engine.authorize("Klein", EXAMPLE_2_QUERY)
         assert delivered_view(answer) == frozenset({("Brown", "#")})
+
+
+def summit_budget_raised():
+    """The paper database with vg-13's budget raised from 150,000 to
+    260,000: Brown's views (SAE, PSA, EST) cannot tell the two apart,
+    but EXAMPLE_1_QUERY's answer grows by one row."""
+    other = build_paper_database()
+    other.load("PROJECT", [
+        ("bq-45", "Acme", 300_000),
+        ("sv-72", "Apex", 450_000),
+        ("vg-13", "Summit", 260_000),
+    ])
+    return other
+
+
+class TestStrictNonInterference:
+    def test_delivered_rows_keep_fully_masked_rows(self, paper_engine):
+        answer = paper_engine.authorize("Brown", EXAMPLE_1_QUERY)
+        assert delivered_rows(answer) == {
+            ("bq-45", "Acme"): 1, ("#", "#"): 1,
+        }
+
+    def test_set_oracle_passes_the_masked_row_count(self, paper_catalog,
+                                                    paper_db):
+        other = summit_budget_raised()
+        assert views_agree(paper_catalog, "Brown", paper_db, other)
+        ok, message = check_non_interference(
+            paper_catalog, "Brown", EXAMPLE_1_QUERY, paper_db, other
+        )
+        assert ok, message
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known leak, ROADMAP.md item 1: fully masked rows are "
+        "delivered, so Brown gets one (#####, #####) row on one "
+        "instance and two on the other"
+    ))
+    def test_masked_rows_do_not_reveal_the_answer_size(self, paper_catalog,
+                                                       paper_db):
+        ok, message = check_non_interference(
+            paper_catalog, "Brown", EXAMPLE_1_QUERY, paper_db,
+            summit_budget_raised(), strict=True,
+        )
+        assert ok, message

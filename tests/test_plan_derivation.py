@@ -25,8 +25,8 @@ def setup():
 def derive(setup, user, query_text, config=DEFAULT_CONFIG, **kwargs):
     database, catalog = setup
     plan = compile_query(parse_query(query_text), database.schema)
-    return derive_mask(plan, database.schema, catalog, user, config,
-                       **kwargs)
+    views = catalog.snapshot(user, plan.relation_names())
+    return derive_mask(plan, database.schema, views, config, **kwargs)
 
 
 class TestStageOne:
@@ -91,31 +91,27 @@ class TestConfigurationEffects:
             deduped.pruned_product.cardinality
 
     def test_selfjoin_pool_filtering(self, setup):
-        """Cached combinations involving non-admissible views must not
-        enter the product."""
+        """Combinations involving non-admissible views must not enter
+        the product: the closure ranges over the admissible views
+        only, so a permitted view outside the query's relations never
+        joins in."""
         database, catalog = setup
-        plan = compile_query(
-            parse_query("retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)"),
-            database.schema,
+        # GHOST would combine with SAE on EMPLOYEE (both star the key
+        # NAME), but it also spans PROJECT.
+        catalog.define_view(
+            "view GHOST (EMPLOYEE.NAME, EMPLOYEE.TITLE, PROJECT.NUMBER)"
         )
-        # A poisoned pool entry claiming a combination with PSA (which
-        # is not admissible for an EMPLOYEE-only query is fine — PSA is
-        # a PROJECT view; use a fake view name instead).
-        from repro.meta.cell import MetaCell
-        from repro.meta.metatuple import MetaTuple
-
-        poisoned = MetaTuple(
-            views=frozenset({"SAE", "GHOST"}),
-            cells=(MetaCell.blank(True), MetaCell.blank(True),
-                   MetaCell.blank(True)),
-            provenance=frozenset({("SAE", 0), ("GHOST", 0)}),
-        )
-        derivation = derive_mask(
-            plan, database.schema, catalog, "Brown", DEFAULT_CONFIG,
-            selfjoin_pool={"EMPLOYEE": (poisoned,)},
-        )
-        for rows in derivation.selfjoin_added.values():
+        catalog.permit("GHOST", "Brown")
+        narrow = derive(setup, "Brown",
+                        "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)")
+        assert "GHOST" not in narrow.admissible_views
+        for rows in narrow.selfjoin_added.values():
             assert all("GHOST" not in t.views for t in rows)
+        wide = derive(setup, "Brown",
+                      "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY, "
+                      "PROJECT.NUMBER)")
+        assert any(t.views == {"SAE", "GHOST"}
+                   for t in wide.selfjoin_added["EMPLOYEE"])
 
     def test_mask_columns_follow_output(self, setup):
         derivation = derive(

@@ -346,6 +346,20 @@ class TestFailClosed:
         assert answer.degradation == "empty"
         assert visible_cells(answer) == set()
 
+    def test_slow_selfjoin_closure_times_out_its_rung(self):
+        # The closure runs inside the derivation, under the rung's
+        # budget: a slow closure trips the deadline and the request
+        # degrades to the rung without self-joins instead of being
+        # served at full fidelity.
+        engine = build_paper_engine(
+            DEFAULT_CONFIG.but(derivation_deadline_ms=50.0)
+        )
+        with inject({"selfjoin": Fault("slow", seconds=10.0)}) as plan:
+            answer = engine.authorize("Brown", EXAMPLE_3_QUERY)
+        assert plan.trips["selfjoin"] >= 1
+        assert answer.degradation == "no-selfjoins"
+        assert answer.error is None
+
     def test_slow_fault_without_deadline_is_harmless(self):
         engine = build_paper_engine()
         with inject({"plan": Fault("slow", seconds=10.0)}):
