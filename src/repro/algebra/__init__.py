@@ -4,7 +4,8 @@ Typed domains, relation/database schemes with keys, immutable relation
 instances with the conjunctive-algebra operators (product, selection,
 projection), PSJ query plans, and two evaluators: a naive one mirroring
 the paper's products-then-selections-then-projections order, and an
-optimized one with predicate pushdown and hash joins for the data side.
+optimized one for the data side that filters each relation once before
+it joins and hashes the filtered side.
 """
 
 from repro.algebra.database import Database, build_database

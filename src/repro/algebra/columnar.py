@@ -14,7 +14,8 @@ pieces both sides share:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from repro.algebra.types import Value
 
@@ -39,15 +40,12 @@ def iter_chunks(rows: Iterable[_Row],
     """
     if chunk_size <= 0:
         chunk_size = 1
-    buffer: List[_Row] = []
-    append = buffer.append
-    for row in rows:
-        append(row)
-        if len(buffer) >= chunk_size:
-            yield tuple(buffer)
-            buffer.clear()
-    if buffer:
-        yield tuple(buffer)
+    iterator = iter(rows)
+    while True:
+        chunk = tuple(islice(iterator, chunk_size))
+        if not chunk:
+            return
+        yield chunk
 
 
 def columns_of(rows: Sequence[_Row],

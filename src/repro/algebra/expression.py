@@ -169,6 +169,16 @@ class PSJQuery:
         """Arity of the full product."""
         return sum(schema.get(o.relation).arity for o in self.occurrences)
 
+    def keeps_every_column(self, schema: DatabaseSchema) -> bool:
+        """True when the projection keeps every product column.
+
+        The product of set-semantics relations is a set, and a
+        selection keeps it one; a projection that keeps every column
+        maps distinct rows to distinct rows.  Its answer needs no
+        dedupe pass, in Python or as SQL ``DISTINCT``.
+        """
+        return set(self.output) == set(range(self.total_width(schema)))
+
     def occurrence_of_column(self, schema: DatabaseSchema,
                              index: int) -> int:
         """Index (into ``occurrences``) owning product column ``index``."""

@@ -8,10 +8,14 @@ into an embedded SQL engine; this module is the shared compiler.
 Two translations are provided:
 
 * :func:`plan_to_sql` — a :class:`~repro.algebra.expression.PSJQuery`
-  becomes one ``SELECT DISTINCT`` over the cross join of its
-  occurrences, with every atomic condition as a ``WHERE`` conjunct.
-  ``DISTINCT`` matches :class:`~repro.algebra.relation.Relation`'s set
-  semantics.
+  becomes one ``SELECT`` over the cross join of its occurrences, with
+  every atomic condition as a ``WHERE`` conjunct.  ``DISTINCT`` gives
+  :class:`~repro.algebra.relation.Relation`'s set semantics when the
+  projection drops a column; the in-process evaluator dedupes under
+  the same rule.  A projection that keeps every product column
+  (``PSJQuery.keeps_every_column``) needs none: each stored table is
+  a deduplicated ``Relation``, so their filtered product is a set
+  already.
 * :func:`masked_plan_to_sql` — wraps the plan SELECT in an outer query
   that applies a compiled mask: each output column becomes
   ``CASE WHEN <visible> THEN column END``, so masking happens *inside*
@@ -122,9 +126,11 @@ def _operand_sql(operand: Operand, refs: Tuple[str, ...]) -> str:
 
 
 def plan_to_sql(plan: PSJQuery, schema: DatabaseSchema) -> str:
-    """Compile ``plan`` into a single ``SELECT DISTINCT`` statement.
+    """Compile ``plan`` into a single ``SELECT`` statement.
 
-    Self-joins work because each occurrence gets its own table alias
+    The statement is ``SELECT DISTINCT`` unless the projection keeps
+    every product column, whose answer is a set without it.  Self-joins
+    work because each occurrence gets its own table alias
     ``t0, t1, ...`` — the positional product columns of the plan map
     one-to-one onto ``t{occurrence}.c{local}`` references, so the
     ``ATTR:k`` relabelling of the Python evaluator needs no SQL
@@ -139,7 +145,8 @@ def plan_to_sql(plan: PSJQuery, schema: DatabaseSchema) -> str:
         f"{table_name(occ.relation)} AS t{index}"
         for index, occ in enumerate(plan.occurrences)
     )
-    sql = f"SELECT DISTINCT {select} FROM {tables}"
+    distinct = "" if plan.keeps_every_column(schema) else "DISTINCT "
+    sql = f"SELECT {distinct}{select} FROM {tables}"
     if plan.conditions:
         conjuncts = " AND ".join(
             f"{_operand_sql(c.lhs, refs)} {comparator_sql(c.op)} "

@@ -8,7 +8,8 @@ comparator of the paper (<, <=, >=, =, !=, >) is meaningful:
 * :data:`INTEGER` — Python ints (salaries, budgets).
 * :data:`STRING` — Python strings under lexicographic order (names,
   titles, project numbers).
-* :data:`REAL` — Python floats.
+* :data:`REAL` — Python floats other than NaN, which equals nothing,
+  not even itself, and so has no place in a total order.
 
 Domains matter in three places: validating instance rows, type-checking
 comparisons at statement-analysis time, and deciding whether interval
@@ -17,6 +18,7 @@ endpoints may be tightened (integers are discrete, the others dense).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -44,14 +46,17 @@ class Domain:
         """Report whether ``value`` belongs to this domain.
 
         Booleans are excluded from the integer domain even though
-        ``bool`` subclasses ``int`` in Python.
+        ``bool`` subclasses ``int`` in Python, and NaN from the real
+        domain: it breaks the total order every comparator relies on,
+        and SQL engines store it as NULL.
         """
         if isinstance(value, bool):
             return False
         if self.name == "integer":
             return isinstance(value, int)
         if self.name == "real":
-            return isinstance(value, (int, float))
+            return isinstance(value, int) or (
+                isinstance(value, float) and not math.isnan(value))
         if self.name == "string":
             return isinstance(value, str)
         raise TypeMismatchError(f"unknown domain {self.name!r}")
@@ -106,6 +111,8 @@ def domain_of_value(value: Value) -> Domain:
     if isinstance(value, int):
         return INTEGER
     if isinstance(value, float):
+        if math.isnan(value):
+            raise TypeMismatchError("NaN constants are not supported")
         return REAL
     if isinstance(value, str):
         return STRING

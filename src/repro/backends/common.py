@@ -178,7 +178,7 @@ class _SQLBackend:
     # ------------------------------------------------------------------
 
     def execute(self, plan: PSJQuery) -> Relation:
-        """Run ``plan`` as one ``SELECT DISTINCT`` in the store."""
+        """Run ``plan`` as one ``SELECT`` in the store."""
         database = self._require_database()
         plan.validate(database.schema)
         sql = plan_to_sql(plan, database.schema)

@@ -6,6 +6,13 @@ the :class:`~repro.backends.base.ExecutionBackend` protocol.  This is
 the backend every engine uses by default, and the oracle the SQL
 backends are differentially tested against
 (``tests/property/test_backend_parity.py``, soundlint rule SL008).
+
+Evaluation runs the stages of :mod:`repro.algebra.optimize`: each
+occurrence filtered once by its own conjuncts, a hash or nested-loop
+join on the filtered side, the remaining cross-occurrence comparisons
+as residual closures, then the projection, with a dedupe pass only
+when the projection drops a column — the rule ``plan_to_sql`` follows
+for ``DISTINCT``.
 """
 
 from __future__ import annotations

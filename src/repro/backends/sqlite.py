@@ -4,10 +4,12 @@ An in-memory SQLite store fed by the shared SQL compiler
 (:mod:`repro.algebra.to_sql`).  Columns are declared *without* a type:
 SQLite's NONE affinity then stores every bound Python value verbatim
 (int as INTEGER, float as REAL, str as TEXT), so values round-trip
-exactly and the backend needs no result coercion.  Cross-class
-comparison semantics match the Python evaluator on well-typed plans —
-the schema's domain checks already rule out string/number mixing, and
-SQLite compares INTEGER with REAL numerically, as Python does.
+exactly and the backend needs no result coercion.  (SQLite would store
+a NaN as NULL; the REAL domain rejects NaN, so none reaches a store.)
+Cross-class comparison semantics match the Python evaluator on
+well-typed plans — the schema's domain checks already rule out
+string/number mixing, and SQLite compares INTEGER with REAL
+numerically, as Python does.
 
 One caveat, shared with the Python evaluator's own dedupe: SQL
 ``DISTINCT`` and Python set semantics both treat ``3`` and ``3.0`` as

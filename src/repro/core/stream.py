@@ -9,8 +9,9 @@ pipeline: evaluation yields deduplicated rows in chunks
 (:func:`repro.algebra.optimize.iter_evaluate_optimized` on the Python
 backend, materialize-and-chunk elsewhere), each chunk is masked by the
 columnar kernel, delivered, and dropped.  A 10^7-row answer therefore
-never exists in memory at once; what is retained is the hash-join
-build sides, the dedupe set, and one chunk.
+never exists in memory at once; what is retained is the filtered sides
+of the joined occurrences, the dedupe set when the projection drops a
+column, and one chunk.
 
 The stream accounts delivery statistics as it goes, so after
 exhaustion :meth:`AnswerStream.stats` reports exactly what

@@ -30,6 +30,15 @@ class Comparator(enum.Enum):
         """Apply this comparator to two values."""
         return _EVAL[self](left, right)
 
+    @property
+    def function(self) -> Callable[[Value, Value], bool]:
+        """The :mod:`operator` function this comparator applies.
+
+        Evaluators that map a comparison over whole columns call it
+        directly instead of going through :meth:`evaluate` per value.
+        """
+        return _EVAL[self]
+
     def flipped(self) -> "Comparator":
         """The comparator with operands swapped: ``a op b == b op' a``."""
         return _FLIP[self]

@@ -308,8 +308,8 @@ def _primed_stream(
     :mod:`repro.backends.base`): a backend without ``execute_stream``
     materializes its answer and is chunked here, so every backend
     participates in streamed deliveries.  The first-chunk prefetch
-    pulls establishment failures — plan validation, the build sides of
-    the first hash join, an embedded-engine error — into the caller's
+    pulls establishment failures — plan validation, the filtered build
+    sides of the joins, an embedded-engine error — into the caller's
     retry window; once a chunk exists the stream counts as
     established, and later failures raise out of the returned iterator
     to the consumer.

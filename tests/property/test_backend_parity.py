@@ -38,6 +38,8 @@ from repro.core.mask import Mask
 from repro.metaalgebra.ladder import EMPTY_LEVEL
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
+from tests.property.test_chunked_apply import raw_plans
+
 pytestmark = pytest.mark.slow
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_HYPOTHESIS_MAX_EXAMPLES", "20"))
@@ -106,6 +108,26 @@ class TestExecuteParity:
         mutated.insert(name, new_row)
         assert python.execute(plan) == sqlite.execute(plan), \
             f"seed={seed} stale after insert into {name}"
+
+
+class TestRawPlanParity:
+    # Ten times the shared budget: raw plans are cheap, and a dropped
+    # column over repeated values is what a missing DISTINCT needs.
+    @settings(SLOW, max_examples=10 * MAX_EXAMPLES)
+    @given(raw_plans())
+    def test_each_answer_row_arrives_once(self, case):
+        # Raw plans include self-joins and projections that keep every
+        # column, which compile without DISTINCT.  Under a mask that
+        # hides every cell the masked statement returns one row per
+        # answer row, so equal counts (with equal row sets) mean equal
+        # multisets.
+        plan, database = case
+        python, sqlite = oracle_pair(database)
+        assert python.execute(plan) == sqlite.execute(plan)
+        hidden = Mask(plan.output_columns(database.schema), ())
+        assert len(sqlite.execute_masked(plan, hidden)) \
+            == len(python.execute_masked(plan, hidden)), \
+            plan.describe(database.schema)
 
 
 class TestMaskedParity:

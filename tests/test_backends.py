@@ -149,6 +149,23 @@ class TestSqlCompiler:
         assert 'FROM "EMP" AS t0' in sql
         assert "WHERE t0.c2 >= 40" in sql
 
+    def test_full_projection_selects_without_distinct(self):
+        # Every product column kept, in any order: the filtered product
+        # of deduplicated tables is a set, so DISTINCT is left out and
+        # SQLite returns exactly the oracle's rows, no repeats.
+        database = small_database()
+        plan = PSJQuery(
+            (Occurrence("EMP", 1), Occurrence("EMP", 2)),
+            (AtomicCondition(Col(1), Comparator.EQ, Col(4)),),
+            (3, 4, 5, 0, 1, 2),
+        )
+        sql = plan_to_sql(plan, database.schema)
+        assert sql.startswith("SELECT t1.c0 AS a0, ")
+        rows = SQLiteBackend(database).execute(plan).rows
+        expected = PythonBackend(database).execute(plan).rows
+        assert sorted(rows) == sorted(expected)
+        assert len(rows) == len(expected) > 0
+
     def test_mask_arity_mismatch_is_refused(self):
         database = small_database()
         compiled = compile_mask(mask_over(int_columns(3), ()))

@@ -46,6 +46,12 @@ class TestAlgebra:
 
     @pytest.mark.parametrize("op", ALL)
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (3, 2)])
+    def test_function_is_what_evaluate_applies(self, op, a, b):
+        assert op.function(a, b) == op.evaluate(a, b)
+        assert op.function.__module__ in ("operator", "_operator")
+
+    @pytest.mark.parametrize("op", ALL)
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (3, 2)])
     def test_negate_semantics(self, op, a, b):
         assert op.evaluate(a, b) != op.negated().evaluate(a, b)
 

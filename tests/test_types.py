@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algebra.database import build_database
+from repro.algebra.schema import make_schema
 from repro.algebra.types import (
     INTEGER,
     REAL,
@@ -10,6 +12,8 @@ from repro.algebra.types import (
     domain_of_value,
 )
 from repro.errors import TypeMismatchError
+
+NAN = float("nan")
 
 
 class TestDomainMembership:
@@ -26,6 +30,14 @@ class TestDomainMembership:
         # bool subclasses int in Python; the domain must not admit it.
         assert not INTEGER.contains(True)
         assert not INTEGER.contains(False)
+
+    def test_real_rejects_nan(self):
+        # NaN equals nothing, not even itself, so no total order holds
+        # it; SQL engines store it as NULL.  Infinities are ordered.
+        assert not REAL.contains(NAN)
+        assert not REAL.contains(-NAN)
+        assert REAL.contains(float("inf"))
+        assert REAL.contains(float("-inf"))
 
     def test_real_contains_ints_and_floats(self):
         assert REAL.contains(1)
@@ -89,6 +101,38 @@ class TestLookups:
         with pytest.raises(TypeMismatchError):
             domain_of_value(True)
 
+    def test_domain_of_nan_rejected(self):
+        with pytest.raises(TypeMismatchError):
+            domain_of_value(NAN)
+
     def test_domain_of_unsupported(self):
         with pytest.raises(TypeMismatchError):
             domain_of_value(object())
+
+
+class TestInstancesRejectNaN:
+    """A NaN cell never reaches an instance, whichever way it comes.
+
+    With ``('a', nan)`` stored, the self-join ``R:1.X = R:2.X`` would
+    match the row to itself under a dict probe (identity before
+    equality) but not under ``==``, and SQLite would return the cell
+    as NULL.
+    """
+
+    @staticmethod
+    def schema():
+        return make_schema("R", [("K", STRING), ("X", REAL)])
+
+    def test_build_database_rejects_nan(self):
+        with pytest.raises(TypeMismatchError):
+            build_database([self.schema()],
+                           {"R": [("a", NAN), ("b", 1.0)]})
+
+    def test_load_and_insert_reject_nan(self):
+        database = build_database([self.schema()], {"R": [("b", 1.0)]})
+        with pytest.raises(TypeMismatchError):
+            database.load("R", [("a", NAN)])
+        with pytest.raises(TypeMismatchError):
+            database.insert("R", ("a", NAN))
+        rows = database.instance("R").rows  # soundlint: disable=SL006 -- the instance a failed load must leave as it was; nothing is delivered
+        assert rows == (("b", 1.0),)
