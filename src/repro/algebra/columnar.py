@@ -1,21 +1,16 @@
-"""Columnar chunk utilities.
+"""Chunking for every chunk-streamed path.
 
-The columnar data plane (ROADMAP item 5) views a relation as a tuple
-of per-column value sequences instead of a sequence of row tuples:
-:meth:`repro.algebra.relation.Relation.column_data` exposes that view,
-and the mask kernels in :mod:`repro.core.compiled_mask` evaluate their
-checks as per-column passes over chunks of it.  This module holds the
-pieces both sides share:
-
-* :func:`iter_chunks` — bound an arbitrary row iterator into fixed-size
-  tuples, the unit of work of every chunk-streamed path;
-* :func:`columns_of` — transpose a row chunk into column sequences.
+Streamed answers travel as tuples of at most ``chunk_size`` rows: the
+evaluator yields them, and the mask kernel of
+:mod:`repro.core.compiled_mask` transposes each chunk into columns and
+masks it with one pass per distinct comparison.
+:func:`iter_chunks` bounds an arbitrary row iterator into such chunks.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from repro.algebra.types import Value
 
@@ -23,7 +18,7 @@ from repro.algebra.types import Value
 _Row = Tuple[Value, ...]
 
 #: Default rows per chunk for every chunk-streamed path.  Large enough
-#: that per-chunk fixed costs (transpose, flag allocation) amortize,
+#: that per-chunk fixed costs (transpose, one pass per comparison) amortize,
 #: small enough that a chunk of wide rows stays comfortably in cache.
 DEFAULT_CHUNK_SIZE = 8192
 
@@ -46,15 +41,3 @@ def iter_chunks(rows: Iterable[_Row],
         if not chunk:
             return
         yield chunk
-
-
-def columns_of(rows: Sequence[_Row],
-               arity: int) -> Tuple[Tuple[Value, ...], ...]:
-    """Transpose a row chunk into per-column value tuples.
-
-    The empty chunk still yields ``arity`` (empty) columns, so callers
-    never have to special-case it.
-    """
-    if not rows:
-        return ((),) * arity
-    return tuple(zip(*rows))

@@ -10,13 +10,6 @@ Relations are immutable: every operator returns a new relation.  Row
 order is preserved deterministically (first-seen order) so experiment
 output is stable, while duplicate rows are removed, giving the set
 semantics the relational model requires.
-
-The row-tuple API is primary; :meth:`Relation.column_data` exposes the
-same rows as a lazily cached *columnar* view (one value tuple per
-column) for the vectorized mask kernels of
-:mod:`repro.core.compiled_mask`, and :meth:`Relation.from_columns`
-builds a relation back from such a view.  Immutability makes the two
-views permanently consistent.
 """
 
 from __future__ import annotations
@@ -66,8 +59,7 @@ class Column:
 class Relation:
     """An immutable relation instance with set semantics."""
 
-    __slots__ = ("columns", "rows", "_row_set", "_column_cache",
-                 "_label_index")
+    __slots__ = ("columns", "rows", "_row_set", "_label_index")
 
     def __init__(self, columns: Sequence[Column], rows: Iterable[Row],
                  validate: bool = True) -> None:
@@ -87,8 +79,6 @@ class Relation:
                 deduped.append(row)
         self.rows: Tuple[Row, ...] = tuple(deduped)
         self._row_set = seen
-        self._column_cache: Optional[Tuple[Tuple[Value, ...], ...]] = \
-            None
         self._label_index: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
@@ -104,33 +94,6 @@ class Relation:
             for a in schema.attributes
         )
         return cls(columns, rows)
-
-    @classmethod
-    def from_columns(
-        cls,
-        columns: Sequence[Column],
-        column_data: Sequence[Sequence[Value]],
-        validate: bool = False,
-    ) -> "Relation":
-        """Build a relation from per-column value sequences.
-
-        The inverse of :meth:`column_data`: ``column_data[c][i]`` is
-        the value of column ``c`` in row ``i``.  All columns must have
-        equal length; set semantics (dedupe, first-seen order) apply
-        exactly as in row-wise construction.  A zero-column relation
-        cannot recover its row count from columns and comes back empty.
-        """
-        if len(column_data) != len(columns):
-            raise TypeMismatchError(
-                f"{len(column_data)} data columns != "
-                f"{len(columns)} column descriptors"
-            )
-        lengths = {len(col) for col in column_data}
-        if len(lengths) > 1:
-            raise TypeMismatchError(
-                f"ragged column data: lengths {sorted(lengths)}"
-            )
-        return cls(columns, zip(*column_data), validate=validate)
 
     def _validate_row(self, row: Row) -> None:
         if len(row) != len(self.columns):
@@ -176,29 +139,6 @@ class Relation:
             raise EvaluationError(
                 f"no column labelled {label!r}"
             ) from None
-
-    def column_data(self) -> Tuple[Tuple[Value, ...], ...]:
-        """The columnar view: one value tuple per column, row order.
-
-        Lazily transposed from :attr:`rows` on first call and cached —
-        immutability keeps the two views consistent forever.  This is
-        the representation the vectorized mask kernels
-        (:mod:`repro.core.compiled_mask`) scan.
-        """
-        cached = self._column_cache
-        if cached is None:
-            if self.rows:
-                cached = tuple(zip(*self.rows))
-            else:
-                cached = ((),) * self.arity
-            self._column_cache = cached
-        return cached
-
-    def column_values(self, index: int) -> Tuple[Value, ...]:
-        """All values in column ``index``, in row order."""
-        if self._column_cache is not None:
-            return self._column_cache[index]
-        return tuple(row[index] for row in self.rows)
 
     def __contains__(self, row: Row) -> bool:
         return tuple(row) in self._row_set

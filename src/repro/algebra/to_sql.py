@@ -24,9 +24,11 @@ Two translations are provided:
   NULL to the ``MASKED`` sentinel unambiguously).
 
 The mask is not lowered here.  :func:`repro.core.compiled_mask.compile_mask`
-lowers each mask row once into positional checks; the columnar kernel
-runs those checks in Python and this module renders the very same
-checks as SQL, which is possible exactly when no row keeps a residual
+lowers each mask row once into a tuple of comparisons over answer
+positions, the same :class:`~repro.algebra.expression.AtomicCondition`
+shape as a plan's conjuncts; the columnar kernel runs those comparisons
+in Python and this module prints them with the renderer of plan
+conjuncts, which is possible exactly when no row keeps a residual
 constraint-store check (``CompiledMask.pushdown``).  ``repro.algebra``
 sits below ``repro.core``, so the compiled mask is read by its
 attributes rather than imported.
@@ -42,12 +44,16 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
-from repro.algebra.expression import Col, Operand, PSJQuery
+from repro.algebra.expression import (
+    AtomicCondition,
+    Col,
+    Operand,
+    PSJQuery,
+)
 from repro.algebra.schema import DatabaseSchema
 from repro.algebra.types import Value
 from repro.errors import BackendError
 from repro.predicates.comparators import Comparator
-from repro.predicates.intervals import Interval
 
 #: Comparator → SQL spelling (NE is ``<>`` for dialect portability).
 _COMPARATOR_SQL = {
@@ -125,6 +131,18 @@ def _operand_sql(operand: Operand, refs: Tuple[str, ...]) -> str:
     return sql_literal(operand.value)
 
 
+def _condition_sql(condition: AtomicCondition,
+                   refs: Tuple[str, ...]) -> str:
+    """Render one comparison over the column expressions ``refs``.
+
+    Shared by a plan's ``WHERE`` conjuncts and a compiled mask row's
+    checks, which have the same shape.
+    """
+    return (f"{_operand_sql(condition.lhs, refs)} "
+            f"{comparator_sql(condition.op)} "
+            f"{_operand_sql(condition.rhs, refs)}")
+
+
 def plan_to_sql(plan: PSJQuery, schema: DatabaseSchema) -> str:
     """Compile ``plan`` into a single ``SELECT`` statement.
 
@@ -149,9 +167,7 @@ def plan_to_sql(plan: PSJQuery, schema: DatabaseSchema) -> str:
     sql = f"SELECT {distinct}{select} FROM {tables}"
     if plan.conditions:
         conjuncts = " AND ".join(
-            f"{_operand_sql(c.lhs, refs)} {comparator_sql(c.op)} "
-            f"{_operand_sql(c.rhs, refs)}"
-            for c in plan.conditions
+            _condition_sql(c, refs) for c in plan.conditions
         )
         sql += f" WHERE {conjuncts}"
     return sql
@@ -162,45 +178,18 @@ def plan_to_sql(plan: PSJQuery, schema: DatabaseSchema) -> str:
 # ----------------------------------------------------------------------
 
 
-def _interval_sql(ref: str, interval: Interval) -> List[str]:
-    """Conjuncts asserting ``ref`` lies in ``interval``."""
-    norm = interval.normalized()
-    conjuncts: List[str] = []
-    if norm.lo is not None:
-        op = ">" if norm.lo_strict else ">="
-        conjuncts.append(f"{ref} {op} {sql_literal(norm.lo)}")
-    if norm.hi is not None:
-        op = "<" if norm.hi_strict else "<="
-        conjuncts.append(f"{ref} {op} {sql_literal(norm.hi)}")
-    for value in sorted(norm.excluded, key=repr):
-        conjuncts.append(f"{ref} <> {sql_literal(value)}")
-    return conjuncts
-
-
 def row_predicate_sql(row: Any, refs: Tuple[str, ...]) -> str:
     """The SQL condition under which compiled mask row ``row`` matches.
 
     ``row`` is a :class:`repro.core.compiled_mask.CompiledRow` without
-    a residual: its constant checks, equality groups, interval checks
-    and relation checks are the row's whole semantics.
+    a residual: its comparisons are the row's whole semantics, printed
+    in the order the lowering holds them.
     """
-    conjuncts: List[str] = []
-    for position, value in row.const_checks:
-        conjuncts.append(f"{refs[position]} = {sql_literal(value)}")
-    for group in row.eq_groups:
-        first = refs[group[0]]
-        conjuncts.extend(
-            f"{first} = {refs[position]}" for position in group[1:]
-        )
-    for position, interval in row.interval_checks:
-        conjuncts.extend(_interval_sql(refs[position], interval))
-    for left, op, right in row.relation_checks:
-        conjuncts.append(
-            f"{refs[left]} {comparator_sql(op)} {refs[right]}"
-        )
-    if not conjuncts:
+    if not row.checks:
         return SQL_TRUE
-    return "(" + " AND ".join(conjuncts) + ")"
+    return "(" + " AND ".join(
+        _condition_sql(check, refs) for check in row.checks
+    ) + ")"
 
 
 def visibility_sql(mask: Any, refs: Tuple[str, ...]) -> Tuple[str, ...]:

@@ -272,7 +272,6 @@ TAINT_SOURCES: FrozenSet[str] = frozenset({
 TAINT_SANITIZERS: FrozenSet[str] = frozenset({
     "repro.core.mask:Mask.apply",
     "repro.core.compiled_mask:CompiledMask.apply_rows",
-    "repro.core.compiled_mask:CompiledMask.apply_columns",
     "repro.core.compiled_mask:apply_mask_columnar",
     # Masked execution applies the mask inside the backend.
     "repro.backends.base:ExecutionBackend.execute_masked",

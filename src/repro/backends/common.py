@@ -227,9 +227,11 @@ class _SQLBackend:
         with self._lock:
             self._sync_locked(plan.relation_names())
             raw = self._fetch_locked(sql)
+        # ``None in row`` is a C-level test: rows with every cell
+        # visible pass through untouched, and only the others are
+        # rebuilt with NULL translated.
         return tuple(
-            tuple(MASKED if value is None else value for value in row)
-            for row in raw
+            row if None not in row else _unmask_nulls(row) for row in raw
         )
 
     # ------------------------------------------------------------------
@@ -262,3 +264,8 @@ class _SQLBackend:
             raise BackendError(
                 f"{self.name} query failed: {error}"
             ) from error
+
+
+def _unmask_nulls(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """``row`` with each SQL NULL (a masked cell) as ``MASKED``."""
+    return tuple(MASKED if value is None else value for value in row)

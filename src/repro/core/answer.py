@@ -107,6 +107,11 @@ class AuthorizedAnswer:
     #: when the configured backend answered.  The answer itself is
     #: identical either way — mask derivation is backend-independent.
     failover_reason: Optional[str] = None
+    #: The masking kernel's statistics of ``delivered``, counted from
+    #: its visibility lanes; ``None`` when no kernel masked the answer
+    #: (denials, the interpreted fallback), and :meth:`stats` then
+    #: counts the delivered rows itself.
+    tally: Optional[DeliveryStats] = None
 
     @property
     def failed_over(self) -> bool:
@@ -141,6 +146,9 @@ class AuthorizedAnswer:
         )
 
     def stats(self) -> DeliveryStats:
+        """Cell- and row-level accounting of ``delivered``."""
+        if self.tally is not None:
+            return self.tally
         return DeliveryStats.of(self.delivered, self.answer.arity)
 
     def render(self) -> str:

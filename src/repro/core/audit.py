@@ -74,8 +74,9 @@ class AuditLog:
 
     def record(self, answer: AuthorizedAnswer) -> AuditRecord:
         """Append a record for ``answer`` and return it (thread-safe)."""
-        # The record is built outside the lock (stats() walks the
-        # delivered rows); only numbering and the append are serial.
+        # The record is built outside the lock; only numbering and the
+        # append are serial.  stats() is the masking kernel's tally, or
+        # a walk over the delivered rows when no kernel masked them.
         stats = answer.stats()
         permits = tuple(str(p) for p in answer.permits)
         with self._lock:

@@ -6,14 +6,16 @@ re-walks every mask row's cells for every answer tuple — an
 O(|A| * |A'|) nested scan of interpreted work.  :func:`compile_mask`
 instead lowers each row of a :class:`~repro.core.mask.Mask` exactly
 once — Section 3's reading of a meta-tuple as a subview — into a
-:class:`CompiledRow` of positional checks:
+:class:`CompiledRow`: a flat tuple of comparisons
+``Col(position) op (Const(value) | Col(position))``, in this order:
 
-* **constant cells** become equality checks;
-* **repeated variables** become equality groups of positions;
-* **interval constraints** are hoisted out of the constraint store,
-  one check per variable at its first position;
+* **constant cells**, ``a_i = c``;
+* **repeated variables**, ``a_first = a_j`` for each later position;
+* **interval constraints**, hoisted out of the constraint store at the
+  variable's first position, as normalized bounds and excluded points
+  (:meth:`~repro.predicates.intervals.Interval.comparisons`);
 * **variable-to-variable relations** whose variables are all bound by
-  cells become direct comparisons between two positions;
+  cells, ``a_i op a_j``;
 * a relation on a variable that *no* cell binds keeps its existential
   reading as a **residual** ``(binding_spec, store)``, checked per
   tuple with ``ConstraintStore.satisfied_by``.
@@ -25,15 +27,18 @@ path when they expose every column.
 
 Two consumers read the one :class:`CompiledMask`:
 
-* the **columnar kernel** — :func:`apply_mask_columnar` and
-  :meth:`CompiledMask.apply_rows`, the engine's only production
-  masker — runs the checks as per-column passes over a relation's
-  :meth:`~repro.algebra.relation.Relation.column_data` view or one
-  streamed chunk: constant signatures as hash-probe sweeps, equality
-  groups as paired-column comparisons, intervals as membership passes
-  with normalization hoisted;
+* the **columnar kernel** — :func:`apply_mask_columnar` (a whole
+  answer) and :meth:`CompiledMask.apply_rows` (one streamed chunk), the
+  engine's only production masker.  Each distinct comparison runs once
+  per chunk as one C-level ``map`` over a column, packed into a
+  byte-lane int (one byte per row, 0 or 1).  A row's comparisons AND
+  together and the rows OR into per-column visibility lanes.  Only a
+  residual row calls ``satisfied_by``, and only on the rows its lane
+  left.  Delivered rows are built column by column, and the lanes'
+  popcounts give the chunk's
+  :class:`~repro.core.answer.DeliveryStats` without a second walk;
 * the **SQL renderer**, :func:`repro.algebra.to_sql.masked_plan_to_sql`,
-  writes the same checks as ``CASE WHEN`` predicates.  It applies
+  prints the same comparisons as ``CASE WHEN`` predicates.  It applies
   exactly when no row has a residual (:attr:`CompiledMask.pushdown`).
 
 Both are differentially identical to the interpreted ``Mask.apply``
@@ -47,6 +52,8 @@ compilation is amortized exactly like derivation (``docs/CACHING.md``).
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import getitem, itemgetter
 from typing import (
     Any,
     Callable,
@@ -59,105 +66,81 @@ from typing import (
     Tuple,
 )
 
-from repro.algebra.columnar import columns_of
+from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Relation, Row
 from repro.algebra.types import Value
+from repro.core.answer import DeliveryStats
 from repro.core.mask import MASKED, Mask
 from repro.metaalgebra.table import MaskRow
 from repro.predicates.comparators import Comparator
-from repro.predicates.intervals import Interval
 from repro.predicates.store import ConstraintStore
-
-#: Per-column value sequences of one chunk (see ``columns_of``).
-Columns = Tuple[Tuple[Value, ...], ...]
 
 #: ``(variable, position)`` pairs binding a residual row's variables
 #: in first-occurrence order, exactly as the interpreted matcher does.
 BindingSpec = Tuple[Tuple[str, int], ...]
 
+#: A residual row's binding spec and the store its binding must satisfy.
+Residual = Tuple[BindingSpec, ConstraintStore]
+
+#: A distinct comparison: the operator function, the left column, and
+#: the constant or the right column.
+_Key = Tuple[Callable[[Value, Value], bool], int, Optional[Value],
+             Optional[int]]
+
+#: One row as the kernel runs it: indices of its comparisons among the
+#: mask's distinct ones, the columns it can reveal, its residual.
+_RowPlan = Tuple[Tuple[int, ...], Tuple[int, ...], Optional[Residual]]
+
 
 class CompiledRow:
-    """One mask row, lowered to positional checks.
+    """One mask row, lowered to positional comparisons.
 
-    The row admits an answer tuple when every check holds; its
-    ``star_set`` columns are then visible for that tuple.
+    The row admits an answer tuple when every check holds (and, for a
+    residual row, the store is satisfied); its ``star_set`` columns are
+    then visible for that tuple.
 
     Attributes:
         star_set: positions this row delivers when it matches.
-        const_checks: ``(position, value)`` equality checks from
-            constant cells.
-        eq_groups: positions that must all hold one value (repeated
-            variables).
-        interval_checks: ``(position, interval)`` — the value at
-            ``position`` must lie in ``interval``.
-        relation_checks: ``(left, op, right)`` comparisons between two
-            bound positions.
+        checks: the row's comparisons, each an
+            :class:`~repro.algebra.expression.AtomicCondition` with a
+            ``Col`` on the left and a ``Const`` or ``Col`` on the
+            right, in the order the module docstring lists.
         residual: ``(binding_spec, store)`` when the store relates a
             variable no cell binds; the tuple's binding must then
-            satisfy ``store``.  ``None`` otherwise — and then the
-            checks above are the row's whole semantics.
+            satisfy ``store``.  ``None`` otherwise — and then
+            ``checks`` are the row's whole semantics.
     """
 
-    __slots__ = ("star_set", "const_checks", "eq_groups",
-                 "interval_checks", "relation_checks", "residual",
-                 "_members")
+    __slots__ = ("star_set", "checks", "residual")
 
     def __init__(
         self,
         star_set: FrozenSet[int],
-        const_checks: Tuple[Tuple[int, Value], ...],
-        eq_groups: Tuple[Tuple[int, ...], ...],
-        interval_checks: Tuple[Tuple[int, Interval], ...] = (),
-        relation_checks: Tuple[Tuple[int, Comparator, int], ...] = (),
-        residual: Optional[Tuple[BindingSpec, ConstraintStore]] = None,
+        checks: Tuple[AtomicCondition, ...],
+        residual: Optional[Residual] = None,
     ) -> None:
         self.star_set = star_set
-        self.const_checks = const_checks
-        self.eq_groups = eq_groups
-        self.interval_checks = interval_checks
-        self.relation_checks = relation_checks
+        self.checks = checks
         self.residual = residual
-        self._members: Optional[
-            Tuple[Tuple[int, Callable[[Value], bool]], ...]] = None
 
     @property
     def is_unconditional(self) -> bool:
         """True when the row matches every answer tuple."""
-        return not (self.const_checks or self.eq_groups
-                    or self.interval_checks or self.relation_checks
-                    or self.residual is not None)
-
-    def members(self) -> Tuple[Tuple[int, Callable[[Value], bool]], ...]:
-        """Interval checks as compiled membership closures.
-
-        :meth:`Interval.membership` hoists normalization out of the
-        per-value test; built lazily, so a row no answer value ever
-        reaches pays nothing for it.
-        """
-        members = self._members
-        if members is None:
-            members = tuple(
-                (position, interval.membership())
-                for position, interval in self.interval_checks
-            )
-            self._members = members
-        return members
+        return not self.checks and self.residual is None
 
 
 class CompiledMask:
-    """A mask lowered once: its compiled rows plus the kernel's index.
+    """A mask lowered once: its compiled rows plus the kernel's plan.
 
     ``rows`` holds the conditional rows in mask order (the SQL
-    renderer's input).  The columnar kernel reads them through an
-    index built here: ``probes`` groups rows with constant cells by
-    the positions of those cells, keyed by the constant values (the
-    bare value for a single position, else the value tuple), and
-    ``broadcast`` holds the rows with no constants, which are
-    evaluated as whole-column passes.
+    renderer's input).  The kernel reads them through a plan built
+    here: the mask's distinct comparisons, and per row the indices of
+    its comparisons and the columns it can reveal beyond
+    ``always_visible``.
     """
 
     __slots__ = ("ncols", "always_visible", "rows", "covers_all",
-                 "pushdown", "probes", "broadcast")
+                 "pushdown", "_steps", "_plan", "_reads", "_conditional")
 
     def __init__(self, ncols: int, always_visible: FrozenSet[int],
                  rows: Tuple[CompiledRow, ...]) -> None:
@@ -171,228 +154,185 @@ class CompiledMask:
         #: No row needs the constraint store at match time, so the SQL
         #: renderer can express the whole mask.
         self.pushdown = all(row.residual is None for row in rows)
-        probes: Dict[Tuple[int, ...], Dict[Any, List[CompiledRow]]] = {}
-        broadcast: List[CompiledRow] = []
-        for row in rows:
-            if not row.const_checks:
-                broadcast.append(row)
-                continue
-            positions = tuple(position for position, _ in row.const_checks)
-            values = tuple(value for _, value in row.const_checks)
-            key = values[0] if len(values) == 1 else values
-            probes.setdefault(positions, {}).setdefault(key, []).append(row)
-        self.probes = tuple(probes.items())
-        self.broadcast = tuple(broadcast)
+        #: Columns whose visibility depends on the tuple.
+        self._conditional = tuple(
+            j for j in range(ncols) if j not in always_visible
+        )
+        self._steps: Tuple[_Key, ...] = ()
+        self._plan: Tuple[_RowPlan, ...] = ()
+        #: Columns the comparisons and residual bindings read.
+        self._reads: Tuple[int, ...] = ()
+        if rows:
+            self._build_plan()
+
+    def _build_plan(self) -> None:
+        """The kernel's distinct comparisons and per-row plan."""
+        index: Dict[_Key, int] = {}
+        self._plan = tuple(
+            (tuple(index.setdefault(_key(check), len(index))
+                   for check in row.checks),
+             tuple(sorted(row.star_set - self.always_visible)),
+             row.residual)
+            for row in self.rows
+        )
+        self._steps = tuple(index)
+        reads = {left for _, left, _, _ in self._steps}
+        reads.update(right for _, _, _, right in self._steps
+                     if right is not None)
+        reads.update(position for _, _, residual in self._plan
+                     if residual is not None
+                     for _, position in residual[0])
+        self._reads = tuple(sorted(reads))
 
     def apply_rows(self, rows: Sequence[Row],
-                   drop_fully_masked: bool = False) -> Tuple[Tuple, ...]:
-        """Mask one chunk of (already deduplicated) rows columnar-ly.
+                   drop_fully_masked: bool = False,
+                   tally: Optional[List[DeliveryStats]] = None,
+                   ) -> Tuple[Tuple, ...]:
+        """Mask one chunk of (already deduplicated) rows.
 
-        The unit of a streamed answer; byte-identical to
+        The unit of a streamed answer; identical to
         :func:`apply_mask_columnar` over a relation holding exactly
-        ``rows``.
+        ``rows``.  With a ``tally`` list, the chunk's
+        :class:`~repro.core.answer.DeliveryStats` (what
+        ``DeliveryStats.of`` would count over the returned rows) is
+        appended to it.
         """
-        if not rows:
-            return ()
-        return self.apply_columns(
-            columns_of(rows, self.ncols), len(rows),
-            drop_fully_masked=drop_fully_masked,
-        )
+        return self._apply(rows, drop_fully_masked, tally)
 
-    def apply_columns(self, cols: Columns, nrows: int,
-                      drop_fully_masked: bool = False
-                      ) -> Tuple[Tuple, ...]:
-        """Mask ``nrows`` rows given as per-column value sequences."""
+    def _apply(self, rows: Sequence[Row], drop: bool,
+               tally: Optional[List[DeliveryStats]]) -> Tuple[Tuple, ...]:
+        """The kernel behind both entry points."""
+        n = len(rows)
         ncols = self.ncols
-        if ncols == 0:
-            # A zero-column row has no visible cells; the interpreted
-            # path still delivers it as () unless dropping.
-            return () if drop_fully_masked else ((),) * nrows
-        if self.covers_all:
-            return tuple(zip(*cols))
-        vis = self._match_columns(cols, nrows)
-        out_cols: List[Sequence[Value]] = []
-        for c in range(ncols):
-            flags = vis[c]
-            if flags is None:
-                out_cols.append(cols[c])
-            else:
-                out_cols.append([
-                    value if flag else MASKED
-                    for value, flag in zip(cols[c], flags)
-                ])
-        delivered = zip(*out_cols)
-        if drop_fully_masked and not self.always_visible:
-            keep = bytearray(nrows)
-            for flags in vis:
-                assert flags is not None
-                for i, flag in enumerate(flags):
-                    if flag:
-                        keep[i] = 1
-            return tuple(
-                row for row, kept in zip(delivered, keep) if kept
-            )
-        return tuple(delivered)
+        full = int.from_bytes(b"\x01" * n, "little")
+        columns: Dict[int, Tuple[Value, ...]] = {}
+        vis: Dict[int, int] = {}
+        delivered: Tuple[Tuple, ...]
+        if not n or ncols == 0 or self.covers_all:
+            # No cell to decide.  A zero-column row has no visible
+            # cells; the interpreted path still delivers it as ()
+            # unless dropping, and DeliveryStats counts it as full.
+            shown = 0 if drop and not self.covers_all else full
+        else:
+            # One itemgetter pass per column read: ``zip(*rows)`` would
+            # build an iterator per row, and collecting them costs more
+            # than the transpose itself.
+            columns = {j: tuple(map(itemgetter(j), rows))
+                       for j in self._reads}
+            vis = self._visibility(columns, n, full)
+            shown = full
+            if not self.always_visible:
+                shown = 0
+                for lane in vis.values():
+                    shown |= lane
+        # ``shown``: rows with a visible cell; ``every``: rows shown
+        # with no masked cell.
+        every = shown
+        for lane in vis.values():
+            every &= lane
+        if every == full:
+            delivered = tuple(rows)
+        elif not shown:
+            # Nothing visible anywhere: one shared all-masked row.
+            delivered = () if drop else ((MASKED,) * ncols,) * n
+        else:
+            out: List[Iterable[Value]] = []
+            for j in range(ncols):
+                column: Iterable[Value] = (
+                    columns[j] if j in columns
+                    else map(itemgetter(j), rows)
+                )
+                lane = vis.get(j, full)
+                if lane == full:
+                    out.append(column)
+                elif not lane:
+                    out.append(repeat(MASKED, n))
+                else:
+                    out.append(map(getitem, zip(repeat(MASKED), column),
+                                   lane.to_bytes(n, "little")))
+            masked_rows: Iterable[Tuple] = zip(*out)
+            if drop and shown != full:
+                masked_rows = compress(masked_rows,
+                                       shown.to_bytes(n, "little"))
+            delivered = tuple(masked_rows)
+        if tally is not None:
+            visible = shown.bit_count()
+            total = visible if drop else n
+            full_rows = every.bit_count()
+            tally.append(DeliveryStats(
+                total_rows=total,
+                total_cells=total * ncols,
+                # Always-visible columns are visible in every shown row.
+                delivered_cells=visible * (ncols - len(vis)) + sum(
+                    lane.bit_count() for lane in vis.values()),
+                full_rows=full_rows,
+                partial_rows=visible - full_rows,
+                masked_rows=total - visible,
+            ))
+        return delivered
 
-    def _match_columns(
-        self, cols: Columns, nrows: int,
-    ) -> List[Optional[bytearray]]:
-        """Visibility flags per column (``None`` = always visible)."""
-        vis: List[Optional[bytearray]] = [
-            None if c in self.always_visible else bytearray(nrows)
-            for c in range(self.ncols)
-        ]
+    def _visibility(self, columns: Dict[int, Tuple[Value, ...]], n: int,
+                    full: int) -> Dict[int, int]:
+        """Per conditional column, the lane of rows it is visible in.
 
-        # Constant-signature groups: one hash-probe sweep per group,
-        # grouping hit indices by value so each matching mask row runs
-        # its residual checks over exactly its candidate rows.
-        for positions, probe in self.probes:
-            hits: Dict[Any, List[int]] = {}
-            get = probe.get
-            if len(positions) == 1:
-                keys: Iterable[Any] = cols[positions[0]]
-            else:
-                keys = zip(*(cols[p] for p in positions))
-            for i, key in enumerate(keys):
-                if get(key) is None:
-                    continue
-                acc = hits.get(key)
-                if acc is None:
-                    hits[key] = acc = []
-                acc.append(i)
-            for key, candidates in hits.items():
-                for row in probe[key]:
-                    matched = _filter_candidates(row, cols, candidates)
-                    if matched:
-                        _mark(row.star_set, matched, vis)
-
-        # Broadcast rows (no constants): whole-column passes.  Rows
-        # sharing an equality-group shape share its scan via the cache
-        # — the common many-intervals-over-one-join-shape masks then
-        # pay the expensive pass once per chunk, not once per row.
-        eq_cache: Dict[Tuple[Tuple[int, ...], ...], List[int]] = {}
-        for row in self.broadcast:
-            matched_b = _broadcast_candidates(row, cols, nrows, eq_cache)
-            if matched_b:
-                _mark(row.star_set, matched_b, vis)
+        Each distinct comparison is evaluated at most once, lazily: a
+        row whose lane is already empty stops asking for more.
+        """
+        vis = dict.fromkeys(self._conditional, 0)
+        lanes: List[Optional[int]] = [None] * len(self._steps)
+        for ids, stars, residual in self._plan:
+            lane = full
+            for i in ids:
+                got = lanes[i]
+                if got is None:
+                    got = lanes[i] = _lane(self._steps[i], columns)
+                lane &= got
+                if not lane:
+                    break
+            if lane and residual is not None:
+                lane = _residual_lane(residual, columns, lane, n)
+            if lane:
+                for j in stars:
+                    vis[j] |= lane
         return vis
 
 
-def _mark(star_set: FrozenSet[int], indices: Sequence[int],
-          vis: List[Optional[bytearray]]) -> None:
-    """Set the visibility flag of ``indices`` in each starred column."""
-    for column in star_set:
-        flags = vis[column]
-        if flags is None:
-            continue
-        for i in indices:
-            flags[i] = 1
+def _key(check: AtomicCondition) -> _Key:
+    """What the kernel runs for ``check``: the operator function, the
+    left column, and the constant or the right column."""
+    lhs, rhs, function = check.lhs, check.rhs, check.op.function
+    assert isinstance(lhs, Col)
+    if isinstance(rhs, Col):
+        return function, lhs.index, None, rhs.index
+    return function, lhs.index, rhs.value, None
 
 
-def _filter_candidates(row: CompiledRow, cols: Columns,
-                       candidates: List[int]) -> List[int]:
-    """Narrow candidate row indices by ``row``'s remaining checks.
+def _lane(key: _Key, columns: Dict[int, Tuple[Value, ...]]) -> int:
+    """The byte lane of the rows ``key``'s comparison holds for: one
+    C-level pass over the column."""
+    function, left, value, right = key
+    other: Iterable[Any] = (
+        repeat(value) if right is None else columns[right]
+    )
+    return int.from_bytes(bytes(map(function, columns[left], other)),
+                          "little")
 
-    Equality groups first (cheap tuple compares), then the hoisted interval
-    memberships, then — rarely — the relations (see :func:`_related`).
-    Each pass is a single comprehension over the surviving indices.
+
+def _residual_lane(residual: Residual,
+                   columns: Dict[int, Tuple[Value, ...]],
+                   lane: int, n: int) -> int:
+    """Narrow ``lane`` to the rows whose binding satisfies the store.
+
+    Only the lane's rows are bound and checked, each binding its
+    variables in first-occurrence order as the interpreted matcher does.
     """
-    for group in row.eq_groups:
-        base = cols[group[0]]
-        for position in group[1:]:
-            other = cols[position]
-            candidates = [
-                i for i in candidates if other[i] == base[i]
-            ]
-            if not candidates:
-                return candidates
-    for position, member in row.members():
-        column = cols[position]
-        candidates = [i for i in candidates if member(column[i])]
-        if not candidates:
-            return candidates
-    if row.relation_checks or row.residual is not None:
-        candidates = _related(row, cols, candidates)
-    return candidates
-
-
-def _broadcast_candidates(
-    row: CompiledRow, cols: Columns, nrows: int,
-    eq_cache: Dict[Tuple[Tuple[int, ...], ...], List[int]],
-) -> Sequence[int]:
-    """Indices matched by a constant-free row, via full-column passes.
-
-    The first equality-group scan is the expensive one (it touches
-    every row of the chunk); rows sharing the same group shape share
-    it through ``eq_cache``.
-    """
-    candidates: Optional[List[int]] = None
-    if row.eq_groups:
-        candidates = eq_cache.get(row.eq_groups)
-        if candidates is None:
-            for group in row.eq_groups:
-                base = cols[group[0]]
-                for position in group[1:]:
-                    other = cols[position]
-                    if candidates is None:
-                        candidates = [
-                            i for i, (a, b)
-                            in enumerate(zip(base, other)) if a == b
-                        ]
-                    else:
-                        candidates = [
-                            i for i in candidates
-                            if other[i] == base[i]
-                        ]
-            assert candidates is not None
-            eq_cache[row.eq_groups] = candidates
-    for position, member in row.members():
-        column = cols[position]
-        if candidates is None:
-            candidates = [
-                i for i, value in enumerate(column) if member(value)
-            ]
-        else:
-            candidates = [
-                i for i in candidates if member(column[i])
-            ]
-        if not candidates:
-            return candidates
-    if row.relation_checks or row.residual is not None:
-        candidates = _related(
-            row, cols, range(nrows) if candidates is None else candidates
-        )
-    if candidates is None:
-        # No checks at all would have made the row unconditional (it
-        # lives in always_visible); reaching here means every check
-        # passed for every row of the chunk.
-        return range(nrows)
-    return candidates
-
-
-def _related(row: CompiledRow, cols: Columns,
-             candidates: Iterable[int]) -> List[int]:
-    """Narrow candidates by ``row``'s variable-to-variable relations.
-
-    Relations between cell-bound variables are direct comparisons of
-    two columns, as in SQL; only a residual row consults its store.
-    """
-    if row.residual is not None:
-        spec, store = row.residual
-        return [
-            i for i in candidates
-            if store.satisfied_by(
-                {var: cols[position][i] for var, position in spec}
-            )
-        ]
-    checks = [
-        (op.evaluate, cols[left], cols[right])
-        for left, op, right in row.relation_checks
-    ]
-    return [
-        i for i in candidates
-        if all(holds(lhs[i], rhs[i]) for holds, lhs, rhs in checks)
-    ]
+    spec, store = residual
+    flags = bytearray(lane.to_bytes(n, "little"))
+    for i in list(compress(range(n), flags)):
+        if not store.satisfied_by(
+                {var: columns[position][i] for var, position in spec}):
+            flags[i] = 0
+    return int.from_bytes(flags, "little")
 
 
 def _lower_row(mask_row: MaskRow) -> Optional[CompiledRow]:
@@ -402,27 +342,31 @@ def _lower_row(mask_row: MaskRow) -> Optional[CompiledRow]:
     if not star_set:
         return None  # delivers nothing; the interpreted path skips too
 
-    const_checks: List[Tuple[int, Value]] = []
+    checks: List[AtomicCondition] = []
     var_positions: Dict[str, List[int]] = {}
     for position, cell in enumerate(meta.cells):
         value = cell.const_value
         if value is not None:
-            const_checks.append((position, value))
+            checks.append(
+                AtomicCondition(Col(position), Comparator.EQ, Const(value))
+            )
         else:
             var = cell.var_name
             if var is not None:
                 var_positions.setdefault(var, []).append(position)
 
-    eq_groups = tuple(
-        tuple(positions) for positions in var_positions.values()
-        if len(positions) > 1
-    )
+    for positions in var_positions.values():
+        first = Col(positions[0])
+        checks.extend(
+            AtomicCondition(first, Comparator.EQ, Col(position))
+            for position in positions[1:]
+        )
 
     if not var_positions:
         # No variables: the interpreted matcher never consults the
         # store for such a row (an empty binding short-circuits to
         # True), so neither do we.
-        return CompiledRow(star_set, tuple(const_checks), eq_groups)
+        return CompiledRow(star_set, tuple(checks))
 
     if store.is_definitely_unsat():
         # Tightening never un-empties an interval, so this row can
@@ -430,12 +374,12 @@ def _lower_row(mask_row: MaskRow) -> Optional[CompiledRow]:
         # Past this point no interval of the store is empty.
         return None
 
-    interval_checks = tuple(
-        (positions[0], interval)
-        for var, positions in var_positions.items()
-        for interval in (store.interval_for(var),)
-        if not interval.is_top
-    )
+    for var, positions in var_positions.items():
+        first = Col(positions[0])
+        checks.extend(
+            AtomicCondition(first, op, Const(value))
+            for op, value in store.interval_for(var).comparisons()
+        )
     relations = store.relations()
     if any(r.left not in var_positions or r.right not in var_positions
            for r in relations):
@@ -445,18 +389,17 @@ def _lower_row(mask_row: MaskRow) -> Optional[CompiledRow]:
         spec = tuple(
             (var, positions[0]) for var, positions in var_positions.items()
         )
-        return CompiledRow(star_set, tuple(const_checks), eq_groups,
-                           interval_checks, residual=(spec, store))
+        return CompiledRow(star_set, tuple(checks), (spec, store))
 
     # Every relation compares two bound variables, so satisfied_by
     # reduces to the interval checks plus direct comparisons (an
     # unbound variable's interval is non-empty, so it never fails).
-    relation_checks = tuple(
-        (var_positions[r.left][0], r.op, var_positions[r.right][0])
+    checks.extend(
+        AtomicCondition(Col(var_positions[r.left][0]), r.op,
+                        Col(var_positions[r.right][0]))
         for r in relations
     )
-    return CompiledRow(star_set, tuple(const_checks), eq_groups,
-                       interval_checks, relation_checks)
+    return CompiledRow(star_set, tuple(checks))
 
 
 def compile_mask(mask: Mask) -> CompiledMask:
@@ -480,18 +423,16 @@ def compile_mask(mask: Mask) -> CompiledMask:
 
 
 def apply_mask_columnar(compiled: CompiledMask, answer: Relation,
-                        drop_fully_masked: bool = False
+                        drop_fully_masked: bool = False,
+                        tally: Optional[List[DeliveryStats]] = None,
                         ) -> Tuple[Tuple, ...]:
-    """Mask ``answer`` through the columnar kernel.
+    """Mask the rows of ``answer`` through the columnar kernel.
 
-    Byte-identical to the interpreted oracle
+    Identical to the interpreted oracle
     :meth:`repro.core.mask.Mask.apply`
     (``tests/property/test_columnar_relation.py``); only the scan
-    order differs — per-column passes over the relation's cached
-    :meth:`~repro.algebra.relation.Relation.column_data` view instead
-    of per-row walks over every mask row.
+    order differs — one pass per distinct comparison over a column
+    instead of per-row walks over every mask row.  ``tally`` is as in
+    :meth:`CompiledMask.apply_rows`.
     """
-    return compiled.apply_columns(
-        answer.column_data(), len(answer.rows),
-        drop_fully_masked=drop_fully_masked,
-    )
+    return compiled._apply(answer.rows, drop_fully_masked, tally)

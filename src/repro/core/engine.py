@@ -51,7 +51,7 @@ from repro.backends import BACKEND_NAMES, make_backend
 from repro.calculus.ast import Query, ViewDefinition
 from repro.calculus.to_algebra import compile_query
 from repro.config import DEFAULT_CONFIG, EngineConfig
-from repro.core.answer import AuthorizedAnswer
+from repro.core.answer import AuthorizedAnswer, DeliveryStats
 from repro.core.cache import CacheStats, DerivationCache, DerivationKey
 from repro.core.compiled_mask import (
     CompiledMask,
@@ -365,7 +365,9 @@ class AuthorizationEngine:
           the full retry/breaker/failover ladder.
         * ``config.max_stream_rows`` (via
           :meth:`repro.metaalgebra.budget.Budget.charge_stream`)
-          bounds total delivery; the offending chunk is withheld.
+          bounds the rows delivered, counted after masking (rows a
+          dropping mask withholds are not charged); the offending
+          chunk is withheld.
         * the audit record is written when the stream *ends* —
           exhausted, failed, or closed by the consumer — covering
           exactly the delivered prefix.
@@ -452,15 +454,15 @@ class AuthorizationEngine:
         budget = Budget.from_config(self.config)
         drop = self.config.drop_fully_masked_rows
         columns = stream.plan.output_columns(self.database.schema)
-        total = 0
+        delivered = 0
         try:
             for chunk in chunks:
-                total += len(chunk)
+                masked, stats = self._mask_chunk(chunk, compiled,
+                                                 stream.mask, columns, drop)
+                delivered += stats.total_rows
                 if budget is not None:
-                    budget.charge_stream(total, "authorize_stream")
-                masked = self._mask_chunk(chunk, compiled, stream.mask,
-                                          columns, drop)
-                stream.account(masked)
+                    budget.charge_stream(delivered, "authorize_stream")
+                stream.account(stats)
                 yield masked
         except Exception as error:  # the fail-closed boundary
             if not self.config.fail_closed:
@@ -479,19 +481,25 @@ class AuthorizationEngine:
         mask: Mask,
         columns: Sequence[Column],
         drop: bool,
-    ) -> MaskedChunk:
-        """Mask one (already deduplicated) answer chunk.
+    ) -> Tuple[MaskedChunk, DeliveryStats]:
+        """Mask one (already deduplicated) answer chunk, and tally it.
 
-        The columnar kernel masks the raw row tuple directly.  Only
+        The columnar kernel masks the raw row tuple directly and
+        reports the chunk's statistics from its visibility lanes.  Only
         when compilation failed does the chunk go to the interpreted
         ``Mask.apply``, wrapped in a throwaway
         :class:`~repro.algebra.relation.Relation` (safe: stream chunks
-        are globally deduplicated, so set semantics cannot drop rows).
+        are globally deduplicated, so set semantics cannot drop rows),
+        and its statistics are counted over the masked rows.
         """
         if compiled is not None:
-            return compiled.apply_rows(chunk, drop_fully_masked=drop)
+            tally: List[DeliveryStats] = []
+            masked = compiled.apply_rows(chunk, drop_fully_masked=drop,
+                                         tally=tally)
+            return masked, tally[0]
         relation = Relation(columns, chunk, validate=False)
-        return mask.apply(relation, drop_fully_masked=drop)
+        masked = mask.apply(relation, drop_fully_masked=drop)
+        return masked, DeliveryStats.of(masked, len(columns))
 
     def _evaluate_stream(self, plan: PSJQuery,
                          chunk_size: int) -> StreamOutcome:
@@ -663,9 +671,14 @@ class AuthorizationEngine:
         mask = Mask.from_table(derivation.mask)
         compiled = self._compiled_for(mask, derivation, cache_key)
         drop = self.config.drop_fully_masked_rows
+        # The kernel tallies what it delivers, so neither stats() nor
+        # the audit record walks the delivered rows again; the
+        # interpreted fallback leaves stats() to count them.
+        tally: List[DeliveryStats] = []
         if compiled is not None:
             delivered = apply_mask_columnar(compiled, answer,
-                                            drop_fully_masked=drop)
+                                            drop_fully_masked=drop,
+                                            tally=tally)
         else:
             delivered = mask.apply(answer, drop_fully_masked=drop)
         return AuthorizedAnswer(
@@ -681,6 +694,7 @@ class AuthorizationEngine:
             degradation_level=derivation.degradation_level,
             backend_used=outcome.backend_used,
             failover_reason=outcome.failover_reason,
+            tally=tally[0] if tally else None,
         )
 
     def _compiled_for(self, mask: Mask, derivation: MaskDerivation,

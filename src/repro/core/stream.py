@@ -130,9 +130,10 @@ class AnswerStream:
     # accounting (driven by the engine's chunk generator)
     # ------------------------------------------------------------------
 
-    def account(self, chunk: MaskedChunk) -> None:
-        """Fold one delivered chunk into the running statistics."""
-        self._stats += DeliveryStats.of(chunk, self.arity)
+    def account(self, stats: DeliveryStats) -> None:
+        """Fold one delivered chunk's statistics into the running
+        total (the engine tallies each chunk as it masks it)."""
+        self._stats += stats
 
     def stats(self) -> DeliveryStats:
         """Delivery statistics over the chunks consumed *so far*.

@@ -106,10 +106,11 @@ class Budget:
     def charge_stream(self, total_rows: int, stage: str) -> None:
         """Fail once a streamed delivery exceeds ``max_stream_rows``.
 
-        Called with the *cumulative* row count after each chunk:
-        already-yielded chunks stand (they were within budget), the
-        offending chunk is never delivered, and the engine ends the
-        stream failed-closed.
+        Called with the *cumulative* count of delivered rows (after
+        masking, so rows a dropping mask withholds are not charged)
+        before each chunk is yielded: already-yielded chunks stand
+        (they were within budget), the offending chunk is never
+        delivered, and the engine ends the stream failed-closed.
         """
         if self.max_stream_rows and total_rows > self.max_stream_rows:
             raise BudgetExceededError("stream-rows", stage, total_rows,

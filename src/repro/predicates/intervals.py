@@ -17,7 +17,7 @@ unsound one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.algebra.types import Domain, Value
 from repro.errors import TypeMismatchError
@@ -149,28 +149,27 @@ class Interval:
             and value not in norm.excluded
         )
 
-    def membership(self) -> Callable[[Value], bool]:
-        """A compiled membership test, normalization hoisted.
+    def comparisons(self) -> Tuple[Tuple[Comparator, Value], ...]:
+        """The interval as a conjunction of comparisons ``x op value``.
 
-        :meth:`contains` re-normalizes on every call — fine for the
-        decision procedures, wasteful when a mask kernel tests the
-        same interval against millions of column values.  The returned
-        closure is extensionally equal to ``contains`` but pays
-        normalization exactly once (``tests/property/
-        test_columnar_relation.py`` pins the equality).
+        The normalized lower bound, then the upper bound, then one
+        ``!=`` per excluded point in ``repr`` order; empty for
+        ``true``.  A value lies in the interval exactly when every
+        comparison holds (``tests/property/test_columnar_relation.py``
+        pins this to :meth:`contains`).  The compiled mask kernel and
+        its SQL rendering both read this lowering.
         """
         norm = self.normalized()
-        lo, lo_strict = norm.lo, norm.lo_strict
-        hi, hi_strict = norm.hi, norm.hi_strict
-        excluded = norm.excluded
-
-        def member(value: Value) -> bool:
-            return (
-                _within(value, lo, lo_strict, hi, hi_strict)
-                and value not in excluded
-            )
-
-        return member
+        out: List[Tuple[Comparator, Value]] = []
+        if norm.lo is not None:
+            out.append((Comparator.GT if norm.lo_strict else Comparator.GE,
+                        norm.lo))
+        if norm.hi is not None:
+            out.append((Comparator.LT if norm.hi_strict else Comparator.LE,
+                        norm.hi))
+        out.extend((Comparator.NE, value)
+                   for value in sorted(norm.excluded, key=repr))
+        return tuple(out)
 
     @property
     def is_point(self) -> bool:
@@ -241,19 +240,10 @@ class Interval:
 
         Returns a tuple of clause strings, empty for ``true``.
         """
-        norm = self.normalized()
-        if norm.is_point:
-            return (f"{subject} = {_fmt(norm.the_point())}",)
-        clauses = []
-        if norm.lo is not None:
-            op = ">" if norm.lo_strict else ">="
-            clauses.append(f"{subject} {op} {_fmt(norm.lo)}")
-        if norm.hi is not None:
-            op = "<" if norm.hi_strict else "<="
-            clauses.append(f"{subject} {op} {_fmt(norm.hi)}")
-        for value in sorted(norm.excluded, key=repr):
-            clauses.append(f"{subject} != {_fmt(value)}")
-        return tuple(clauses)
+        if self.is_point:
+            return (f"{subject} = {_fmt(self.the_point())}",)
+        return tuple(f"{subject} {op} {_fmt(value)}"
+                     for op, value in self.comparisons())
 
     def __str__(self) -> str:
         return " and ".join(self.describe("x")) or "true"

@@ -7,7 +7,8 @@ Bounded-memory delivery streams both halves of Figure 2:
   ``CompiledMask.apply_rows`` per chunk, as ``authorize_stream`` masks
   — must concatenate to exactly what the interpreted ``Mask.apply``
   and the whole-relation ``apply_mask_columnar`` produce, for any
-  chunk size including 1 and sizes larger than the row count;
+  chunk size including 1 and sizes larger than the row count, and the
+  chunks' tallies must sum to the whole answer's;
 * ``iter_evaluate_optimized`` — the streaming evaluator's chunks must
   concatenate to ``evaluate_optimized``'s rows exactly, including
   order (set semantics dedupe across chunk boundaries), and equal the
@@ -43,6 +44,7 @@ from repro.algebra.optimize import (
 from repro.algebra.schema import make_schema
 from repro.algebra.types import INTEGER
 from repro.calculus.to_algebra import compile_query
+from repro.core.answer import DeliveryStats
 from repro.core.compiled_mask import apply_mask_columnar, compile_mask
 from repro.lang.parser import parse_query
 from repro.predicates.comparators import Comparator
@@ -55,9 +57,10 @@ from tests.property.test_compiled_mask import (
     seeds,
 )
 
-# 1 (degenerate), small odd (chunk boundaries mid-answer), larger than
-# any generated answer, and non-positive (degrades to 1 by contract).
-chunk_sizes = st.sampled_from((1, 3, 7, 100, 0))
+# 1 (degenerate), small odd (chunk boundaries mid-answer), a fraction
+# of the largest generated answers, larger than most of them, and
+# non-positive (degrades to 1 by contract).
+chunk_sizes = st.sampled_from((1, 3, 7, 64, 100, 0))
 
 
 def concat(chunks):
@@ -155,10 +158,10 @@ def raw_plans(draw):
     return plan, database
 
 
-def mask_chunks(compiled, rows, size, drop=False):
+def mask_chunks(compiled, rows, size, drop=False, tally=None):
     """Mask ``rows`` chunk by chunk, as ``authorize_stream`` does."""
     return [
-        compiled.apply_rows(chunk, drop_fully_masked=drop)
+        compiled.apply_rows(chunk, drop_fully_masked=drop, tally=tally)
         for chunk in iter_chunks(rows, size)
     ]
 
@@ -169,10 +172,16 @@ class TestChunkedApplyMatchesOracle:
     def test_concatenation_is_byte_identical(self, case, size, drop):
         mask, answer = case
         compiled = compile_mask(mask)
-        streamed = concat(mask_chunks(compiled, answer.rows, size, drop))
+        tallies, whole = [], []
+        streamed = concat(mask_chunks(compiled, answer.rows, size, drop,
+                                      tallies))
         assert streamed == mask.apply(answer, drop_fully_masked=drop)
         assert streamed == apply_mask_columnar(compiled, answer,
-                                               drop_fully_masked=drop)
+                                               drop_fully_masked=drop,
+                                               tally=whole)
+        # The chunks' tallies add up to the whole answer's.
+        assert sum(tallies, DeliveryStats.of((), answer.arity)) \
+            == whole[0]
 
     @SLOW
     @given(masks_and_answers(), chunk_sizes)

@@ -5,28 +5,36 @@ The columnar data plane must change *nothing* observable:
 * ``apply_mask_columnar`` must be byte-identical to the interpreted
   oracle ``Mask.apply`` — same cells, same row order, same
   ``drop_fully_masked`` behaviour (soundlint SL005 pins this suite to
-  that pair);
-* the :class:`Relation` columnar view (``column_data`` /
-  ``from_columns`` / ``column_values``) must round-trip rows exactly;
-* ``Interval.membership`` (the hoisted closure the kernel evaluates
-  per column) must agree with ``Interval.contains`` pointwise;
+  that pair), zero-column answers included;
+* ``Interval.comparisons`` (the lowering of an interval constraint
+  that the kernel runs per column and SQL prints) must agree with
+  ``Interval.contains`` pointwise, over strict, discrete and excluded
+  bounds, and ``compile_mask`` must lower a constrained variable to
+  exactly those comparisons;
 * end to end, the engine's columnar delivery must equal ``Mask.apply``
   of the same mask over the same answer.
 """
 
 from hypothesis import given, strategies as st
 
+from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Column, Relation
 from repro.algebra.types import INTEGER
 from repro.config import DEFAULT_CONFIG
+from repro.core.answer import DeliveryStats
 from repro.core.compiled_mask import apply_mask_columnar, compile_mask
 from repro.core.engine import AuthorizationEngine
+from repro.core.mask import Mask
+from repro.meta.cell import MetaCell
+from repro.meta.metatuple import MetaTuple
+from repro.metaalgebra.table import MaskRow
+from repro.predicates.comparators import Comparator
 from repro.predicates.intervals import Interval
+from repro.predicates.store import ConstraintStore
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 from tests.property.test_compiled_mask import (
     SLOW,
-    VALUES,
     masks_and_answers,
     seeds,
 )
@@ -51,45 +59,69 @@ class TestColumnarKernelMatchesOracles:
         assert apply_mask_columnar(compiled, answer) == first
         assert apply_mask_columnar(compile_mask(mask), answer) == first
 
-
-class TestRelationColumnarView:
-    @SLOW
-    @given(st.integers(min_value=1, max_value=4), st.data())
-    def test_column_data_roundtrip(self, arity, data):
-        columns = tuple(Column(f"C{i}", INTEGER) for i in range(arity))
-        rows = data.draw(st.lists(
-            st.tuples(*[VALUES] * arity), max_size=8,
-        ))
-        relation = Relation(columns, rows, validate=False)
-        cols = relation.column_data()
-        assert len(cols) == arity
-        assert all(len(col) == len(relation.rows) for col in cols)
-        rebuilt = Relation.from_columns(columns, cols)
-        # Exact row order, not just set equality: the columnar view is
-        # a transpose, never a reordering.
-        assert rebuilt.rows == relation.rows
-        for i in range(arity):
-            assert relation.column_values(i) == cols[i]
-
-    def test_zero_column_relation(self):
-        relation = Relation((), [()], validate=False)
-        assert relation.column_data() == ()
-        assert Relation.from_columns((), ()).rows == ()
+    def test_zero_column_answer(self):
+        # A zero-column row has no visible cell: delivered as () unless
+        # dropping, and counted as a full row, as the oracle does.
+        mask = Mask((), ())
+        answer = Relation((), [()], validate=False)
+        for drop, expect in ((False, ((),)), (True, ())):
+            tally = []
+            delivered = apply_mask_columnar(compile_mask(mask), answer,
+                                            drop_fully_masked=drop,
+                                            tally=tally)
+            assert delivered == mask.apply(answer, drop_fully_masked=drop)
+            assert delivered == expect
+            assert tally == [DeliveryStats.of(delivered, 0)]
 
 
-class TestMembershipMatchesContains:
-    bounds = st.one_of(st.none(), VALUES)
+class TestIntervalLowering:
+    # Bounds and probes mix ints and floats, so discrete tightening
+    # meets float probes between integer bounds; strings order too.
+    numbers = st.sampled_from((0, 1, 2, 3, 4, 0.5, 1.5, 2.5, 3.0))
+    words = st.sampled_from(("a", "b", "c", "d"))
 
     @SLOW
-    @given(bounds, st.booleans(), bounds, st.booleans(),
-           st.frozensets(VALUES, max_size=3), st.booleans(), VALUES)
-    def test_pointwise_equal(self, lo, lo_strict, hi, hi_strict,
-                             excluded, discrete, probe):
-        interval = Interval(lo=lo, lo_strict=lo_strict, hi=hi,
-                            hi_strict=hi_strict, excluded=excluded,
-                            discrete=discrete)
-        assert interval.membership()(probe) == interval.contains(probe)
-
+    @given(st.data(), st.booleans(), st.booleans(), st.booleans())
+    def test_comparisons_match_contains(self, data, lo_strict, hi_strict,
+                                        discrete):
+        values = data.draw(st.sampled_from((self.numbers, self.words)))
+        bound = st.one_of(st.none(), values)
+        interval = Interval(
+            lo=data.draw(bound), lo_strict=lo_strict,
+            hi=data.draw(bound), hi_strict=hi_strict,
+            excluded=data.draw(st.frozensets(values, max_size=3)),
+            discrete=discrete,
+        )
+        comparisons = interval.comparisons()
+        # At most one lower and one upper bound, in that order, then
+        # the excluded points as != comparisons.
+        ops = [op for op, _ in comparisons]
+        lower = [op for op in ops if op in (Comparator.GT, Comparator.GE)]
+        upper = [op for op in ops if op in (Comparator.LT, Comparator.LE)]
+        assert len(lower) <= 1 and len(upper) <= 1
+        assert ops == lower + upper + [Comparator.NE] * (
+            len(ops) - len(lower) - len(upper))
+        for probe in data.draw(st.lists(values, min_size=1, max_size=5)):
+            assert all(op.function(probe, value)
+                       for op, value in comparisons) \
+                == interval.contains(probe), (interval, probe)
+        # The mask lowering of a variable under this interval is
+        # exactly these comparisons on the variable's column.
+        store = ConstraintStore.empty().constrain_interval("x", interval)
+        meta = MetaTuple(frozenset({"V"}),
+                         (MetaCell.variable("x", True),), frozenset())
+        compiled = compile_mask(
+            Mask((Column("X", INTEGER),), (MaskRow(meta, store),)))
+        if store.is_definitely_unsat():
+            assert not compiled.rows and not compiled.always_visible
+        elif not comparisons:
+            assert compiled.always_visible == {0}
+        else:
+            (row,) = compiled.rows
+            assert row.checks == tuple(
+                AtomicCondition(Col(0), op, Const(value))
+                for op, value in comparisons
+            )
 
 
 class TestEndToEnd:

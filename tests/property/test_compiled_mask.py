@@ -4,16 +4,22 @@ A mask compiled by ``repro.core.compiled_mask.compile_mask`` and
 applied by the columnar kernel must be *differentially identical* to
 the interpreted ``Mask.apply`` — same delivered bytes, same
 ``drop_fully_masked`` behaviour — over masks with blanks, constants,
-repeated variables, interval constraints and variable-to-variable
-COMPARISON relations.  The interpreted path stays in the tree as the
+repeated variables, interval constraints (strict, discrete and
+excluded bounds) and variable-to-variable COMPARISON relations, on
+INTEGER, REAL and STRING columns, answers of up to about 300 rows and
+up to 10 columns.  The interpreted path stays in the tree as the
 reference oracle precisely so this suite can say "identical", not
-"close".  ``TestEndToEnd`` runs the same comparison through the
-engine: a mask that fails to compile is delivered by the interpreted
-fallback, and must deliver what the compiled one does.  The check of
+"close".  The kernel's tally must equal ``DeliveryStats.of`` over what
+it delivered (chunk by chunk, in
+``tests/property/test_chunked_apply.py``).  ``TestEndToEnd`` runs the same comparison through
+the engine: a mask that fails to compile is delivered by the
+interpreted fallback, and must deliver what the compiled one does.
+``TestSqlText`` pins the SQL the same lowering prints.  The check of
 every engine delivery mode against the oracle lives in
 ``tests/property/test_engine_properties.py``.
 """
 
+import hashlib
 import os
 from contextlib import contextmanager
 from unittest import mock
@@ -21,9 +27,13 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Column, Relation
-from repro.algebra.types import INTEGER
-from repro.core.compiled_mask import compile_mask
+from repro.algebra.to_sql import masked_plan_to_sql
+from repro.algebra.types import INTEGER, REAL, STRING
+from repro.calculus.to_algebra import compile_query
+from repro.core.answer import DeliveryStats
+from repro.core.compiled_mask import apply_mask_columnar, compile_mask
 from repro.core.engine import AuthorizationEngine
 from repro.core.mask import MASKED, Mask
 from repro.errors import ReproError
@@ -42,69 +52,110 @@ SLOW = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# A small value universe makes constant hits, repeated-variable
-# agreement, and interval boundaries all likely.
-VALUES = st.integers(min_value=0, max_value=4)
-VARIABLES = ("x1", "x2", "x3")
+# Small value universes make constant hits, repeated-variable
+# agreement, and interval boundaries all likely.  REAL columns hold
+# floats, and their constants mix ints and floats, as views over a
+# REAL attribute may.
+UNIVERSES = {
+    INTEGER: (0, 1, 2, 3, 4),
+    REAL: (0.0, 0.5, 1.0, 1.5, 2.0),
+    STRING: ("a", "b", "c", "d"),
+}
+CONSTANTS = {
+    INTEGER: (0, 1, 2, 3, 4),
+    REAL: (0, 0.5, 1.0, 1.5, 2),
+    STRING: ("a", "b", "c", "d"),
+}
+DOMAINS = tuple(UNIVERSES)
+# Variables are typed the way derivations type them: numeric ones may
+# join INTEGER and REAL columns, string ones only STRING columns.
+NUMERIC_VARIABLES = ("x1", "x2", "x3")
+STRING_VARIABLES = ("s1", "s2")
 COMPARATORS = tuple(Comparator)
-
-cells = st.one_of(
-    st.booleans().map(MetaCell.blank),
-    st.tuples(VALUES, st.booleans()).map(
-        lambda cv: MetaCell.constant(cv[0], cv[1])
-    ),
-    st.tuples(st.sampled_from(VARIABLES), st.booleans()).map(
-        lambda nv: MetaCell.variable(nv[0], nv[1])
-    ),
-)
-
-interval_constraints = st.lists(
-    st.tuples(st.sampled_from(VARIABLES), st.sampled_from(COMPARATORS),
-              VALUES),
-    max_size=3,
-)
 
 # Variable equality is handled by unification in the store, never as a
 # stored relation — so it is excluded here, as it is in derivations.
 RELATORS = tuple(c for c in COMPARATORS if c is not Comparator.EQ)
 
-relation_constraints = st.lists(
-    st.tuples(st.sampled_from(VARIABLES), st.sampled_from(RELATORS),
-              st.sampled_from(VARIABLES)),
-    max_size=2,
-)
+
+def is_numeric(domain):
+    return domain is not STRING
+
+
+def cells_for(domain):
+    variables = NUMERIC_VARIABLES if is_numeric(domain) \
+        else STRING_VARIABLES
+    return st.one_of(
+        st.booleans().map(MetaCell.blank),
+        st.tuples(st.sampled_from(CONSTANTS[domain]), st.booleans()).map(
+            lambda cv: MetaCell.constant(cv[0], cv[1])
+        ),
+        st.tuples(st.sampled_from(variables), st.booleans()).map(
+            lambda nv: MetaCell.variable(nv[0], nv[1])
+        ),
+    )
+
+
+def interval_constraints(variables, constants):
+    return st.lists(
+        st.tuples(st.sampled_from(variables), st.sampled_from(COMPARATORS),
+                  st.sampled_from(constants)),
+        max_size=3,
+    )
+
+
+def relation_constraints(variables):
+    return st.lists(
+        st.tuples(st.sampled_from(variables), st.sampled_from(RELATORS),
+                  st.sampled_from(variables)),
+        max_size=2,
+    )
 
 
 @st.composite
 def stores(draw):
+    # ``discrete`` tightens strict integer bounds, as INTEGER columns do.
+    discrete = draw(st.booleans())
     store = ConstraintStore.empty()
-    for var, op, value in draw(interval_constraints):
+    for var, op, value in draw(interval_constraints(
+            NUMERIC_VARIABLES, CONSTANTS[INTEGER] + CONSTANTS[REAL])):
+        store = store.constrain(var, op, value, discrete)
+    for var, op, value in draw(interval_constraints(
+            STRING_VARIABLES, CONSTANTS[STRING])):
         store = store.constrain(var, op, value)
-    for left, op, right in draw(relation_constraints):
-        if left != right:
-            store = store.relate(left, op, right)
+    for variables in (NUMERIC_VARIABLES, STRING_VARIABLES):
+        for left, op, right in draw(relation_constraints(variables)):
+            if left != right:
+                store = store.relate(left, op, right)
     return store
 
 
 @st.composite
 def masks_and_answers(draw):
-    arity = draw(st.integers(min_value=1, max_value=4))
+    arity = draw(st.integers(min_value=1, max_value=10))
+    domains = draw(st.lists(st.sampled_from(DOMAINS),
+                            min_size=arity, max_size=arity))
     columns = tuple(
-        Column(f"C{i}", INTEGER) for i in range(arity)
+        Column(f"C{i}", domain) for i, domain in enumerate(domains)
     )
-    nrows = draw(st.integers(min_value=0, max_value=5))
+    nrows = draw(st.integers(min_value=0, max_value=6))
     rows = []
     for _ in range(nrows):
         meta = MetaTuple(
             frozenset({"V"}),
-            tuple(draw(cells) for _ in range(arity)),
+            tuple(draw(cells_for(domain)) for domain in domains),
             frozenset(),
         )
         rows.append(MaskRow(meta, draw(stores())))
     mask = Mask(columns, tuple(rows))
-    answer_rows = draw(st.lists(
-        st.tuples(*[VALUES] * arity), max_size=8,
-    ))
+    # Answer rows come from a Hypothesis-controlled Random: hundreds
+    # of rows would overrun the example buffer if drawn cell by cell.
+    size = draw(st.integers(min_value=0, max_value=300))
+    rng = draw(st.randoms(use_true_random=False))
+    answer_rows = [
+        tuple(rng.choice(UNIVERSES[domain]) for domain in domains)
+        for _ in range(size)
+    ]
     answer = Relation(columns, answer_rows, validate=False)
     return mask, answer
 
@@ -128,6 +179,25 @@ class TestCompiledMatchesInterpreted:
         first = compiled.apply_rows(answer.rows)
         assert compiled.apply_rows(answer.rows) == first
         assert compile_mask(mask).apply_rows(answer.rows) == first
+
+
+class TestTally:
+    @SLOW
+    @given(masks_and_answers(), st.booleans())
+    def test_tally_equals_delivery_stats(self, case, drop):
+        # The lanes' popcounts must count exactly what DeliveryStats.of
+        # counts over the delivered rows, dropped rows excluded.
+        mask, answer = case
+        compiled = compile_mask(mask)
+        for apply in (
+            lambda tally: compiled.apply_rows(
+                answer.rows, drop_fully_masked=drop, tally=tally),
+            lambda tally: apply_mask_columnar(
+                compiled, answer, drop_fully_masked=drop, tally=tally),
+        ):
+            tally = []
+            delivered = apply(tally)
+            assert tally == [DeliveryStats.of(delivered, answer.arity)]
 
 
 # ----------------------------------------------------------------------
@@ -205,10 +275,63 @@ class TestRelationRows:
         compiled = compile_mask(mask)
         assert compiled.pushdown is pushdown
         (row,) = compiled.rows
+        # A bound relation lowers to an order or <> comparison of two
+        # columns; an unbound one stays in the residual store.
+        relations = [
+            check for check in row.checks
+            if isinstance(check.rhs, Col) and check.op is not Comparator.EQ
+        ]
         if pushdown:
-            assert row.residual is None and row.relation_checks
+            assert row.residual is None and relations
         else:
-            assert row.residual is not None and not row.relation_checks
+            assert row.residual is not None and not relations
+
+    def test_checks_keep_the_printed_order(self):
+        # Constant cells, then intervals, then relations: the order
+        # the SQL renderer prints them in.
+        mask, _ = RELATION_ROWS["bound, with a constant"]
+        (row,) = compile_mask(mask).rows
+        assert row.checks == (
+            AtomicCondition(Col(2), Comparator.EQ, Const(3)),
+            AtomicCondition(Col(1), Comparator.LE, Const(3)),
+            AtomicCondition(Col(0), Comparator.NE, Col(1)),
+        )
+
+
+# ----------------------------------------------------------------------
+# interval rows: each kind of bound the lowering emits
+# ----------------------------------------------------------------------
+
+INTERVAL_STORES = {
+    "strict bounds": ConstraintStore.empty()
+    .constrain("x1", Comparator.GT, 1)
+    .constrain("x1", Comparator.LT, 4),
+    "discrete bounds": ConstraintStore.empty()
+    .constrain("x1", Comparator.GT, 1, True)
+    .constrain("x1", Comparator.LT, 4, True),
+    "excluded point": ConstraintStore.empty()
+    .constrain("x1", Comparator.NE, 2),
+    "excluded point inside bounds": ConstraintStore.empty()
+    .constrain("x1", Comparator.GE, 1)
+    .constrain("x1", Comparator.NE, 3),
+}
+
+
+class TestIntervalRows:
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("name", sorted(INTERVAL_STORES))
+    def test_kernel_matches_oracle(self, name, drop):
+        mask = one_row_mask((x1, MetaCell.blank(True), MetaCell.blank()),
+                            INTERVAL_STORES[name])
+        expect = mask.apply(ALL_TRIPLES, drop_fully_masked=drop)
+        # The bound decides visibility: some rows show, some don't.
+        assert 0 < sum(row[0] is not MASKED for row in expect) \
+            < len(ALL_TRIPLES.rows)
+        tally = []
+        assert compile_mask(mask).apply_rows(
+            ALL_TRIPLES.rows, drop_fully_masked=drop, tally=tally
+        ) == expect
+        assert tally == [DeliveryStats.of(expect, 3)]
 
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -251,3 +374,60 @@ class TestEndToEnd:
                     f"seed={seed} user={user} query={query}"
                 assert [str(p) for p in fast.permits] \
                     == [str(p) for p in slow.permits]
+                assert fast.stats() == slow.stats()
+
+
+# ----------------------------------------------------------------------
+# the SQL the lowering prints
+# ----------------------------------------------------------------------
+
+#: SHA-256 prefixes of every ``masked_plan_to_sql`` text (both drop
+#: modes) over the masks the backend-parity suite derives from seeds
+#: 0–39: two statements per seed, each user's mask.  Recorded from the
+#: renderer that printed constant cells, equality groups, interval
+#: bounds and excluded points, and relations from separate per-kind
+#: fields; the shared lowering must print the very same text.
+SQL_DIGESTS = (
+    "db81493af4c9", "d4d2d9819897", "d71538cc2387", "8603b1b3f041",
+    "972dd7798d3f", "209f3d141ef3", "24efdcacad39", "b6f1bd0cddce",
+    "51bb67cf4fd4", "0e62c787acf7", "586cdb6d2214", "b34afc28dd12",
+    "2a01c74925fb", "d7df47e7467b", "6089cae0163d", "7eafccd1fb3d",
+    "74fc639a9072", "cf093f591c82", "d90988639590", "bc69c5f85e69",
+    "d4564cbebd70", "28f634a201d9", "d61c61be79e4", "f04670c415bc",
+    "953ecfc7d676", "e77e80e28407", "a2b6f80a4aaf", "7d940e76f528",
+    "e031a76b77b0", "c6d535fd73c0", "1210a3dc5eb4", "b0d879b0bb5c",
+    "c01f3b24c3a9", "3467cea5c59a", "bd9b925150d8", "57c4a54cff67",
+    "aa29babca1c8", "cc9278e5cbca", "cce47699a45a", "5408db647b80",
+)
+
+
+def masked_sql_texts(seed):
+    """Every masked statement the parity suite's seed ``seed`` yields."""
+    generator = WorkloadGenerator(seed)
+    spec = WorkloadSpec(seed=seed, relations=3, views=3, users=2,
+                        rows_per_relation=8)
+    workload = generator.workload(spec)
+    schema = workload.database.schema
+    engine = AuthorizationEngine(workload.database, workload.catalog)
+    texts = []
+    for _ in range(2):
+        query = generator.query(spec, schema)
+        plan = compile_query(query, schema)
+        for user in workload.users:
+            compiled = compile_mask(
+                Mask.from_table(engine.derive(user, query).mask))
+            if not compiled.pushdown:
+                texts.append("no pushdown")
+                continue
+            for drop in (False, True):
+                texts.append(masked_plan_to_sql(
+                    plan, schema, compiled, drop_fully_masked=drop))
+    return texts
+
+
+class TestSqlText:
+    @pytest.mark.parametrize("seed", range(len(SQL_DIGESTS)))
+    def test_masked_sql_text_is_unchanged(self, seed):
+        text = "\n".join(masked_sql_texts(seed))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert digest == SQL_DIGESTS[seed], text

@@ -243,7 +243,9 @@ class TestMaskPushdown:
         mask = mask_over(int_columns(2), [MaskRow(meta, store)])
         compiled = compile_mask(mask)
         assert compiled.pushdown
-        assert compiled.rows[0].relation_checks == ((0, Comparator.LT, 1),)
+        assert compiled.rows[0].checks == (
+            AtomicCondition(Col(0), Comparator.LT, Col(1)),
+        )
 
     def test_unbound_variable_relation_falls_back(self):
         # x < z where z is bound by no cell keeps its existential

@@ -122,9 +122,6 @@ class TestEquality:
         assert people.same_rows(renamed)
         assert people != renamed  # labels differ
 
-    def test_column_values(self, people):
-        assert people.column_values(1) == (30, 41, 30)
-
     def test_index_of_label(self, people):
         assert people.index_of("AGE") == 1
         with pytest.raises(EvaluationError):

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algebra.database import build_database
+from repro.algebra.schema import make_schema
+from repro.algebra.types import INTEGER, STRING
 from repro.config import DEFAULT_CONFIG
 from repro.core.audit import AuditLog
 from repro.core.engine import AuthorizationEngine
 from repro.errors import BackendError, ParseError
+from repro.meta.catalog import PermissionCatalog
 from repro.resilience.failover import StreamOutcome
 from repro.testing import faults
 from repro.workloads.paperdb import (
@@ -111,6 +115,30 @@ class TestStreamBudget:
         assert stream.finished
         assert stream.error is not None
         assert "stream-rows" in stream.error
+
+    def test_budget_counts_delivered_rows_not_evaluated_ones(self):
+        # Ten orders, one view showing those with QTY >= 8, fully
+        # masked rows dropped: the two delivered rows are within a
+        # budget of three, although the first chunk alone evaluates
+        # four rows, which the mask withholds.
+        orders = make_schema("ORDERS", [("ID", STRING), ("QTY", INTEGER)],
+                             key=["ID"])
+        database = build_database([orders], {"ORDERS": [
+            (f"o{i}", i) for i in range(10)
+        ]})
+        catalog = PermissionCatalog(database.schema)
+        catalog.define_view(
+            "view BIG (ORDERS.ID, ORDERS.QTY) where ORDERS.QTY >= 8")
+        catalog.permit("BIG", "clerk")
+        engine = AuthorizationEngine(database, catalog, DEFAULT_CONFIG.but(
+            drop_fully_masked_rows=True, max_stream_rows=3))
+        query = "retrieve (ORDERS.ID, ORDERS.QTY)"
+        answer = engine.authorize("clerk", query)
+        assert answer.delivered == (("o8", 8), ("o9", 9))
+        stream = engine.authorize_stream("clerk", query, chunk_size=4)
+        assert drain(stream) == answer.delivered
+        assert stream.error is None
+        assert stream.stats() == answer.stats()
 
     def test_budget_off_by_default(self, paper_engine):
         stream = paper_engine.authorize_stream("Brown", EXAMPLE_1_QUERY,
