@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.algebra.database import Database
 from repro.algebra.optimize import evaluate_optimized
@@ -78,9 +78,6 @@ class SystemRModel:
         normalize_view(view, self.database.schema)  # validate
         self._views[view.name] = view
         self._owners[view.name] = owner
-
-    def is_view(self, name: str) -> bool:
-        return name in self._views
 
     # ------------------------------------------------------------------
     # GRANT / REVOKE
@@ -202,7 +199,3 @@ class SystemRModel:
             Outcome.FULL, answer.labels(), answer.rows,
             note=f"via access window {view_name}",
         )
-
-    def grants_snapshot(self) -> Tuple[Grant, ...]:
-        """The current grant graph (for tests and display)."""
-        return tuple(self._grants)

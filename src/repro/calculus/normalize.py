@@ -115,18 +115,6 @@ class NormalizedView:
                 seen.setdefault(cell.content.var)
         return tuple(seen)
 
-    def cells_of_occurrence(
-        self, schema: DatabaseSchema, index: int
-    ) -> Tuple[NormalizedCell, ...]:
-        """The cells belonging to occurrence ``index``."""
-        start = 0
-        for i, occ in enumerate(self.occurrences):
-            width = schema.get(occ.relation).arity
-            if i == index:
-                return self.cells[start:start + width]
-            start += width
-        raise IndexError(index)
-
     def materialization_psj(self, schema: DatabaseSchema) -> PSJQuery:
         """A PSJ plan computing the view's extension.
 

@@ -46,21 +46,9 @@ class EngineConfig:
             of views (INGRES-flavoured, violates the strict Theorem and
             the non-interference property); it exists for the
             Section 6(3) experiments only.  The sound default is True.
-        dedupe: remove replicated meta-tuples after products, as the
-            paper does in its Example 2 and 3 tables.
-        prune_dangling: after products, drop rows that still reference
-            meta-tuples outside the row (Section 4.1's pruning).  Only
-            disable this for displaying intermediate tables; masks
-            derived without pruning are not sound.
         drop_fully_masked_rows: omit answer rows in which every cell is
             masked from the delivered relation.  The paper's examples
             mask cell-wise; dropping empty rows is presentation sugar.
-        max_selfjoin_rounds: fixpoint bound for the self-join closure.
-        max_selfjoin_tuples: cap on combined tuples per meta-relation.
-            The closure is worst-case exponential in the number of
-            pairwise-joinable views; the cap keeps pathological catalogs
-            tractable (dropping combinations is always sound — it only
-            costs completeness).
         derivation_cache_size: LRU capacity of the mask-derivation
             cache (entries keyed by canonical plan key and the
             definition serials of the user's admissible views, so a
@@ -74,10 +62,11 @@ class EngineConfig:
             ladder, not a failure (see ``docs/RESILIENCE.md``).
         max_selfjoin_pool: budget — cap on the per-relation self-join
             pool (original meta-tuples plus closure) a derivation will
-            consume (0 = unlimited).  Distinct from
-            ``max_selfjoin_tuples``, which soft-truncates *generation*;
-            this limit makes an oversized pool degrade to the
-            no-self-join rung instead.
+            consume (0 = unlimited).  Distinct from the closure's own
+            cap of 64 generated tuples per relation
+            (``selfjoin_closure``'s ``max_tuples``), which
+            soft-truncates *generation*; this limit makes an oversized
+            pool degrade to the no-self-join rung instead.
         derivation_deadline_ms: budget — wall-time limit per derivation
             attempt (0 = no deadline).  Each ladder rung gets a fresh
             deadline, so the worst case is ``rungs * deadline``.
@@ -143,11 +132,7 @@ class EngineConfig:
     self_joins: bool = True
     existential_closure: bool = False
     require_star_for_selection: bool = True
-    dedupe: bool = True
-    prune_dangling: bool = True
     drop_fully_masked_rows: bool = False
-    max_selfjoin_rounds: int = 4
-    max_selfjoin_tuples: int = 64
     derivation_cache_size: int = 128
     max_mask_rows: int = 0
     max_selfjoin_pool: int = 0

@@ -5,6 +5,8 @@ corresponds to the request but whose tuples include only permitted
 values, and a set of inferred permit statements describing the portion
 delivered" — :class:`AuthorizedAnswer` is that pair, plus the raw
 answer, the mask, the derivation trace, and delivery statistics.
+:class:`DeliveryStats` is the tally the engine's mask-and-tally step
+returns for a whole answer or one streamed chunk.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ class AuthorizedAnswer:
     delivered: Tuple[Tuple, ...]
     permits: Tuple[InferredPermit, ...]
     derivation: MaskDerivation
+    #: Statistics of ``delivered``, from the engine's mask-and-tally
+    #: step: the masking kernel's lane counts, or ``DeliveryStats.of``
+    #: over what the interpreted fallback delivered; all zero on a
+    #: denial.
+    tally: DeliveryStats
     #: Whether the mask derivation was served from the engine's
     #: derivation cache (the answer itself is always evaluated fresh).
     cache_hit: bool = False
@@ -107,11 +114,6 @@ class AuthorizedAnswer:
     #: when the configured backend answered.  The answer itself is
     #: identical either way — mask derivation is backend-independent.
     failover_reason: Optional[str] = None
-    #: The masking kernel's statistics of ``delivered``, counted from
-    #: its visibility lanes; ``None`` when no kernel masked the answer
-    #: (denials, the interpreted fallback), and :meth:`stats` then
-    #: counts the delivered rows itself.
-    tally: Optional[DeliveryStats] = None
 
     @property
     def failed_over(self) -> bool:
@@ -147,9 +149,7 @@ class AuthorizedAnswer:
 
     def stats(self) -> DeliveryStats:
         """Cell- and row-level accounting of ``delivered``."""
-        if self.tally is not None:
-            return self.tally
-        return DeliveryStats.of(self.delivered, self.answer.arity)
+        return self.tally
 
     def render(self) -> str:
         """The delivered relation plus permit statements, as text."""

@@ -4,7 +4,11 @@ Real access-control deployments need to answer "who asked for what and
 what did they get".  An :class:`AuditLog` attached to an engine records
 one :class:`AuditRecord` per retrieval — the acting user, the statement,
 the views consulted, and the delivery statistics — and can render an
-activity report or per-user summaries.
+activity report or per-user summaries.  A whole answer
+(:meth:`AuditLog.record`) and a chunk-streamed one
+(:meth:`AuditLog.record_stream`, once the stream ends) go through one
+record builder: both carry their derivation, permits, provenance and
+the engine's tally of what was delivered.
 
 The log stores no data values, only shapes, so the audit trail itself
 never widens anyone's access.
@@ -20,9 +24,10 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.answer import AuthorizedAnswer, DeliveryStats
+from repro.core.stream import AnswerStream
 
 
 @dataclass(frozen=True)
@@ -74,66 +79,40 @@ class AuditLog:
 
     def record(self, answer: AuthorizedAnswer) -> AuditRecord:
         """Append a record for ``answer`` and return it (thread-safe)."""
-        # The record is built outside the lock; only numbering and the
-        # append are serial.  stats() is the masking kernel's tally, or
-        # a walk over the delivered rows when no kernel masked them.
-        stats = answer.stats()
-        permits = tuple(str(p) for p in answer.permits)
+        return self._append(answer)
+
+    def record_stream(self, stream: AnswerStream) -> AuditRecord:
+        """Append the record of a chunk-streamed delivery (thread-safe).
+
+        The engine calls this once the stream ends — exhausted, failed
+        closed, or abandoned by the consumer — so the record covers
+        exactly what was actually delivered.
+        """
+        return self._append(stream)
+
+    def _append(self, delivery: Union[AuthorizedAnswer, AnswerStream]
+                ) -> AuditRecord:
+        """The one record builder.
+
+        The record is built outside the lock; only numbering and the
+        append are serial.  ``stats()`` is the engine's tally, so no
+        delivered row is walked again here.
+        """
+        stats = delivery.stats()
+        permits = tuple(str(p) for p in delivery.permits)
         with self._lock:
             entry = AuditRecord(
                 sequence=next(self._counter),
-                user=answer.user,
-                statement=str(answer.query),
-                admissible_views=answer.derivation.admissible_views,
+                user=delivery.user,
+                statement=str(delivery.query),
+                admissible_views=delivery.derivation.admissible_views,
                 stats=stats,
                 permit_statements=permits,
-                cache_hit=answer.cache_hit,
-                degradation_level=answer.degradation_level,
-                error=answer.error,
-                backend_used=answer.backend_used,
-                failover_reason=answer.failover_reason,
-            )
-            self._records.append(entry)
-            if self.capacity is not None \
-                    and len(self._records) > self.capacity:
-                del self._records[0:len(self._records) - self.capacity]
-        return entry
-
-    def record_stream(
-        self,
-        user: str,
-        statement: str,
-        admissible_views: Tuple[str, ...],
-        stats: DeliveryStats,
-        permit_statements: Tuple[str, ...] = (),
-        cache_hit: bool = False,
-        degradation_level: int = 0,
-        error: Optional[str] = None,
-        backend_used: Optional[str] = None,
-        failover_reason: Optional[str] = None,
-    ) -> AuditRecord:
-        """Append a record for a chunk-streamed delivery (thread-safe).
-
-        Streamed answers are never materialized, so there is no
-        :class:`~repro.core.answer.AuthorizedAnswer` to hand to
-        :meth:`record`; the engine accounts cells chunk-by-chunk as it
-        delivers them and reports the totals here once the stream ends
-        (exhausted, failed closed, or abandoned by the consumer — the
-        record covers exactly what was actually delivered).
-        """
-        with self._lock:
-            entry = AuditRecord(
-                sequence=next(self._counter),
-                user=user,
-                statement=statement,
-                admissible_views=admissible_views,
-                stats=stats,
-                permit_statements=permit_statements,
-                cache_hit=cache_hit,
-                degradation_level=degradation_level,
-                error=error,
-                backend_used=backend_used,
-                failover_reason=failover_reason,
+                cache_hit=delivery.cache_hit,
+                degradation_level=delivery.degradation_level,
+                error=delivery.error,
+                backend_used=delivery.backend_used,
+                failover_reason=delivery.failover_reason,
             )
             self._records.append(entry)
             if self.capacity is not None \

@@ -7,10 +7,25 @@ the inferred permit statements.  Users direct queries at the actual
 database; views never act as access windows.  The answer half runs
 through a pluggable execution backend (``EngineConfig.backend``, see
 :mod:`repro.backends`); mask derivation is backend-independent.
-``authorize``, ``authorize_batch`` and ``authorize_degraded`` are entry
-points into one pipeline with one fail-closed boundary;
-``authorize_stream`` reuses its derivation and masking steps to deliver
-the same answer chunk by chunk.
+
+All four entry points — ``authorize``, ``authorize_batch``,
+``authorize_degraded`` and ``authorize_stream`` — run one pipeline:
+
+* one *establishment* step (:meth:`AuthorizationEngine._establish`)
+  takes the snapshot of the user's admissible views, derives the mask,
+  denies on an empty rung, and builds the mask, its compiled form and
+  the inferred permits, all before any evaluation;
+* one *mask-and-tally* step (:meth:`AuthorizationEngine._mask`) masks
+  a whole answer or one streamed chunk — with the columnar kernel, or
+  the interpreted ``Mask.apply`` when compilation failed — and returns
+  its :class:`~repro.core.answer.DeliveryStats`;
+* one audit-record builder (:class:`~repro.core.audit.AuditLog`) for
+  both answer types.
+
+A whole answer is masked once; a stream is masked chunk by chunk as
+the consumer iterates.  The fail-closed boundaries are
+``_authorize_many`` (behind the three materialized modes),
+``authorize_stream`` and its chunk generator.
 
 Whole mask derivations, self-join closures included, are memoized
 following Section 5's advice that derived results "should be stored
@@ -27,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -53,13 +68,17 @@ from repro.calculus.to_algebra import compile_query
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.answer import AuthorizedAnswer, DeliveryStats
 from repro.core.cache import CacheStats, DerivationCache, DerivationKey
+# apply_mask_columnar is not called here (the mask-and-tally step runs
+# the kernel through CompiledMask.apply_rows); it stays bound, like
+# selfjoin_closure below, so the per-layer wrappers of
+# benchmarks/authbench/layers.py resolve.
 from repro.core.compiled_mask import (
     CompiledMask,
-    apply_mask_columnar,
+    apply_mask_columnar,  # noqa: F401
     compile_mask,
 )
 from repro.core.mask import Mask
-from repro.core.statements import infer_permits
+from repro.core.statements import InferredPermit, infer_permits
 from repro.core.stream import AnswerStream, MaskedChunk
 from repro.errors import (
     BackendUnavailableError,
@@ -89,6 +108,30 @@ from repro.resilience.failover import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.testing.faults import maybe_fault
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What a request may see, settled before its answer is evaluated.
+
+    The establishment step's result, shared by the whole-answer and
+    the streamed mode.  A denial has the empty derivation and mask, no
+    compiled form and no permits, and carries its reason in ``error``.
+    """
+
+    derivation: MaskDerivation
+    mask: Mask
+    #: The columnar kernel's form of ``mask``; ``None`` when
+    #: compilation failed, and masking falls back to ``Mask.apply``.
+    compiled: Optional[CompiledMask]
+    permits: Tuple[InferredPermit, ...]
+    cache_hit: bool
+    error: Optional[str] = None
+
+
+def _failure(error: Exception) -> str:
+    """The recorded reason of a request that failed closed."""
+    return f"{type(error).__name__}: {error}"
 
 
 class AuthorizationEngine:
@@ -266,7 +309,7 @@ class AuthorizationEngine:
         ``authorize`` is a batch of one and ``authorize_degraded`` a
         batch of one with a ladder ``floor``.  Per element: parse and
         compile (errors raise), then — inside the one fail-closed
-        boundary — derive, evaluate and mask, then exactly one audit
+        boundary — establish, evaluate and mask, then exactly one audit
         record.  An element whose canonical plan already succeeded in
         this call reuses that whole answer.
         """
@@ -287,10 +330,13 @@ class AuthorizationEngine:
                 key = self._plan_key(plan)
                 authorized = done.get(key)
                 if authorized is None:
-                    authorized = self._authorize_plan(
-                        user, query, plan, key, floor, shed_reason
+                    decision = self._establish(user, plan, key, floor,
+                                               shed_reason)
+                    outcome = (None if decision.error is not None
+                               else self._evaluate(plan))
+                    authorized = done[key] = self._answer(
+                        user, query, plan, decision, outcome
                     )
-                    done[key] = authorized
                 else:
                     authorized = replace(authorized, query=query,
                                          plan=plan, cache_hit=True)
@@ -302,29 +348,13 @@ class AuthorizationEngine:
             except Exception as error:  # the fail-closed boundary
                 if not self.config.fail_closed:
                     raise
-                authorized = self._failed_answer(user, query, plan, error)
+                authorized = self._answer(
+                    user, query, plan, self._denial(plan, _failure(error))
+                )
             if self.audit is not None:
                 self.audit.record(authorized)
             answers.append(authorized)
         return tuple(answers)
-
-    def _authorize_plan(self, user: str, query: Query, plan: PSJQuery,
-                        key: PlanKey, floor: int,
-                        shed_reason: str) -> AuthorizedAnswer:
-        """One element of the pipeline (inside the boundary)."""
-        views, cache_key = self._snapshot(user, plan, key)
-        derivation, hit = self._derive(plan, views, cache_key, floor,
-                                       shed_reason)
-        if derivation.degradation_level >= EMPTY_LEVEL:
-            # The empty mask delivers nothing at any floor, so it is a
-            # denial and skips evaluation: a shed reports its reason, a
-            # ladder that failed closed reports why it failed.
-            reason = (shed_reason if floor
-                      else derivation.degradation_reason or "denied")
-            return self._denied_answer(user, query, plan, reason)
-        outcome = self._evaluate(plan)
-        return self._assemble(user, query, plan, outcome, derivation,
-                              hit, cache_key)
 
     def _evaluate(self, plan: PSJQuery) -> ExecutionOutcome:
         """Evaluate ``plan`` through the resilient executor.
@@ -347,12 +377,13 @@ class AuthorizationEngine:
     ) -> AnswerStream:
         """Answer ``query`` for ``user`` as a bounded-memory stream.
 
-        The iterator mode of :meth:`authorize`: the same mask
-        derivation (same cache), the same permits, the same fail-closed
-        contract — but the answer is evaluated, masked (columnar
-        kernel), and delivered chunk-by-chunk, so it is never
-        materialized whole.  The concatenated chunks are byte-identical
-        to :attr:`AuthorizedAnswer.delivered` for the same request
+        The iterator mode of :meth:`authorize`: the same establishment
+        step (snapshot, derivation and cache, denial, compiled mask,
+        permits), the same mask-and-tally step and the same
+        fail-closed contract — but the answer is evaluated, masked and
+        delivered chunk-by-chunk, so it is never materialized whole.
+        The concatenated chunks are byte-identical to
+        :attr:`AuthorizedAnswer.delivered` for the same request
         (``tests/test_stream.py``).
 
         Divergences forced by streaming:
@@ -382,53 +413,41 @@ class AuthorizationEngine:
             chunk_size if chunk_size is not None and chunk_size > 0
             else self.config.stream_chunk_size
         )
+        outcome: Optional[StreamOutcome] = None
         try:
-            key = self._plan_key(plan)
-            views, cache_key = self._snapshot(user, plan, key)
-            derivation, hit = self._derive(plan, views, cache_key)
-            assert derivation.mask is not None
-            if derivation.degradation_level >= EMPTY_LEVEL:
-                stream = self._denied_stream(
-                    user, query, plan, size,
-                    derivation.degradation_reason or "denied",
-                )
-            else:
-                mask = Mask.from_table(derivation.mask)
-                compiled = self._compiled_for(mask, derivation, cache_key)
+            decision = self._establish(user, plan, self._plan_key(plan))
+            if decision.error is None:
                 outcome = self._evaluate_stream(plan, size)
-                stream = AnswerStream(
-                    user=user,
-                    query=query,
-                    plan=plan,
-                    mask=mask,
-                    permits=infer_permits(mask),
-                    chunk_size=size,
-                    arity=len(plan.output),
-                    cache_hit=hit,
-                    degradation_level=derivation.degradation_level,
-                    backend_used=outcome.backend_used,
-                    failover_reason=outcome.failover_reason,
-                )
-                stream._chunks = self._stream_chunks(
-                    stream, outcome.chunks, compiled,
-                    derivation.admissible_views,
-                )
-                return stream
         except BackendUnavailableError:
             # See authorize(): typed misconfiguration escapes.
             raise
         except Exception as error:  # the fail-closed boundary
             if not self.config.fail_closed:
                 raise
-            stream = self._denied_stream(
-                user, query, plan, size,
-                f"{type(error).__name__}: {error}",
-            )
-        # Denied or failed before any chunk: the stream is born
-        # finished, so audit immediately (live streams audit when
-        # their generator ends).  No views were consulted for the
-        # empty mask, matching the denied-answer shape.
-        self._audit_stream(stream, ())
+            decision = self._denial(plan, _failure(error))
+        stream = AnswerStream(
+            user=user,
+            query=query,
+            plan=plan,
+            derivation=decision.derivation,
+            mask=decision.mask,
+            permits=decision.permits,
+            chunk_size=size,
+            arity=len(plan.output),
+            cache_hit=decision.cache_hit,
+            degradation_level=decision.derivation.degradation_level,
+            error=decision.error,
+            backend_used=outcome.backend_used if outcome else None,
+            failover_reason=outcome.failover_reason if outcome else None,
+        )
+        if outcome is not None:
+            stream._chunks = self._stream_chunks(stream, outcome.chunks,
+                                                 decision.compiled)
+        elif self.audit is not None:
+            # Denied or failed before any chunk: the stream is born
+            # finished, so it is audited now (live streams audit when
+            # their generator ends).
+            self.audit.record_stream(stream)
         return stream
 
     def _stream_chunks(
@@ -436,7 +455,6 @@ class AuthorizationEngine:
         stream: AnswerStream,
         chunks: Iterator[Tuple[Row, ...]],
         compiled: Optional[CompiledMask],
-        admissible_views: Tuple[str, ...],
     ) -> Iterator[MaskedChunk]:
         """Mask and deliver answer chunks; the stream's engine half.
 
@@ -452,13 +470,12 @@ class AuthorizationEngine:
         exactly one record covering what was actually delivered.
         """
         budget = Budget.from_config(self.config)
-        drop = self.config.drop_fully_masked_rows
         columns = stream.plan.output_columns(self.database.schema)
         delivered = 0
         try:
             for chunk in chunks:
-                masked, stats = self._mask_chunk(chunk, compiled,
-                                                 stream.mask, columns, drop)
+                masked, stats = self._mask(chunk, columns, stream.mask,
+                                           compiled)
                 delivered += stats.total_rows
                 if budget is not None:
                     budget.charge_stream(delivered, "authorize_stream")
@@ -468,38 +485,12 @@ class AuthorizationEngine:
             if not self.config.fail_closed:
                 stream.finished = True
                 raise
-            stream.error = f"{type(error).__name__}: {error}"
+            stream.error = _failure(error)
         finally:
             if not stream.finished:
                 stream.finished = True
-                self._audit_stream(stream, admissible_views)
-
-    def _mask_chunk(
-        self,
-        chunk: Tuple[Row, ...],
-        compiled: Optional[CompiledMask],
-        mask: Mask,
-        columns: Sequence[Column],
-        drop: bool,
-    ) -> Tuple[MaskedChunk, DeliveryStats]:
-        """Mask one (already deduplicated) answer chunk, and tally it.
-
-        The columnar kernel masks the raw row tuple directly and
-        reports the chunk's statistics from its visibility lanes.  Only
-        when compilation failed does the chunk go to the interpreted
-        ``Mask.apply``, wrapped in a throwaway
-        :class:`~repro.algebra.relation.Relation` (safe: stream chunks
-        are globally deduplicated, so set semantics cannot drop rows),
-        and its statistics are counted over the masked rows.
-        """
-        if compiled is not None:
-            tally: List[DeliveryStats] = []
-            masked = compiled.apply_rows(chunk, drop_fully_masked=drop,
-                                         tally=tally)
-            return masked, tally[0]
-        relation = Relation(columns, chunk, validate=False)
-        masked = mask.apply(relation, drop_fully_masked=drop)
-        return masked, DeliveryStats.of(masked, len(columns))
+                if self.audit is not None:
+                    self.audit.record_stream(stream)
 
     def _evaluate_stream(self, plan: PSJQuery,
                          chunk_size: int) -> StreamOutcome:
@@ -513,43 +504,6 @@ class AuthorizationEngine:
         """
         maybe_fault("engine.evaluate")
         return self.executor.execute_stream(plan, chunk_size=chunk_size)
-
-    def _denied_stream(self, user: str, query: Query, plan: PSJQuery,
-                       chunk_size: int, reason: str) -> AnswerStream:
-        """An empty, already-finished stream: the fail-closed shape."""
-        derivation = empty_derivation(
-            plan, self.database.schema, reason=reason
-        )
-        assert derivation.mask is not None
-        return AnswerStream(
-            user=user,
-            query=query,
-            plan=plan,
-            mask=Mask.from_table(derivation.mask),
-            permits=(),
-            chunk_size=chunk_size,
-            arity=len(plan.output),
-            degradation_level=EMPTY_LEVEL,
-            error=reason,
-        )
-
-    def _audit_stream(self, stream: AnswerStream,
-                      admissible_views: Tuple[str, ...]) -> None:
-        """Append the end-of-stream audit record, if auditing is on."""
-        if self.audit is None:
-            return
-        self.audit.record_stream(
-            user=stream.user,
-            statement=str(stream.query),
-            admissible_views=admissible_views,
-            stats=stream.stats(),
-            permit_statements=tuple(str(p) for p in stream.permits),
-            cache_hit=stream.cache_hit,
-            degradation_level=stream.degradation_level,
-            error=stream.error,
-            backend_used=stream.backend_used,
-            failover_reason=stream.failover_reason,
-        )
 
     def prepare(self, query: Union[Query, str]) -> Query:
         """Parse and plan ``query`` without touching any data.
@@ -577,7 +531,8 @@ class AuthorizationEngine:
         """
         parsed = self._parse_query(query, "deny")
         plan = self._compile(parsed)
-        authorized = self._denied_answer(user, parsed, plan, reason)
+        authorized = self._answer(user, parsed, plan,
+                                  self._denial(plan, reason))
         if self.audit is not None:
             self.audit.record(authorized)
         return authorized
@@ -662,40 +617,125 @@ class AuthorizationEngine:
         views = self.catalog.snapshot(user, plan.relation_names())
         return views, (key, views.serials)
 
-    def _assemble(self, user: str, query: Query, plan: PSJQuery,
-                  outcome: ExecutionOutcome,
-                  derivation: MaskDerivation, hit: bool,
-                  cache_key: DerivationKey) -> AuthorizedAnswer:
+    def _establish(
+        self, user: str, plan: PSJQuery, key: PlanKey, floor: int = 0,
+        shed_reason: Optional[str] = None,
+    ) -> Decision:
+        """Decide what ``user`` may see of ``plan``'s answer, before
+        any of it is evaluated: the establishment step of every mode.
+
+        Reads ``user``'s admissible views once, derives the mask at
+        ladder rung ``floor`` or below (through the cache), and turns
+        an empty rung into a denial.  Otherwise it builds the
+        :class:`~repro.core.mask.Mask`, its compiled form and the
+        inferred permits, which the mask-and-tally step and the answer
+        envelopes then share.
+        """
+        views, cache_key = self._snapshot(user, plan, key)
+        derivation, hit = self._derive(plan, views, cache_key, floor,
+                                       shed_reason)
+        if derivation.degradation_level >= EMPTY_LEVEL:
+            # The empty mask delivers nothing at any floor, so it is a
+            # denial and skips evaluation: a shed reports its reason, a
+            # ladder that failed closed reports why it failed.
+            return self._denial(
+                plan, shed_reason if floor
+                else derivation.degradation_reason or "denied",
+            )
         assert derivation.mask is not None
-        answer = outcome.answer
         mask = Mask.from_table(derivation.mask)
-        compiled = self._compiled_for(mask, derivation, cache_key)
-        drop = self.config.drop_fully_masked_rows
-        # The kernel tallies what it delivers, so neither stats() nor
-        # the audit record walks the delivered rows again; the
-        # interpreted fallback leaves stats() to count them.
-        tally: List[DeliveryStats] = []
-        if compiled is not None:
-            delivered = apply_mask_columnar(compiled, answer,
-                                            drop_fully_masked=drop,
-                                            tally=tally)
+        return Decision(
+            derivation=derivation,
+            mask=mask,
+            compiled=self._compiled_for(mask, derivation, cache_key),
+            permits=infer_permits(mask),
+            cache_hit=hit,
+        )
+
+    def _denial(self, plan: PSJQuery, reason: str) -> Decision:
+        """The decision to deliver nothing, with ``reason`` recorded.
+
+        Built from parts that cannot themselves fail — an empty mask
+        over the plan's output columns — so the fail-closed boundary
+        never recurses into another failure.  Also the shape of an
+        admission-control hard shed.
+        """
+        derivation = empty_derivation(
+            plan, self.database.schema, reason=reason
+        )
+        assert derivation.mask is not None
+        return Decision(
+            derivation=derivation,
+            mask=Mask.from_table(derivation.mask),
+            compiled=None,
+            permits=(),
+            cache_hit=False,
+            error=reason,
+        )
+
+    def _answer(self, user: str, query: Query, plan: PSJQuery,
+                decision: Decision,
+                outcome: Optional[ExecutionOutcome] = None,
+                ) -> AuthorizedAnswer:
+        """The whole answer: ``outcome`` masked by ``decision``.
+
+        A denial has no outcome; it delivers nothing from an empty
+        answer relation.
+        """
+        if outcome is None:
+            answer = Relation(plan.output_columns(self.database.schema),
+                              (), validate=False)
+            delivered: MaskedChunk = ()
+            stats = DeliveryStats.of(delivered, answer.arity)
         else:
-            delivered = mask.apply(answer, drop_fully_masked=drop)
+            answer = outcome.answer
+            delivered, stats = self._mask(answer.rows, answer.columns,
+                                          decision.mask, decision.compiled)
         return AuthorizedAnswer(
             user=user,
             query=query,
             plan=plan,
             answer=answer,
-            mask=mask,
+            mask=decision.mask,
             delivered=delivered,
-            permits=infer_permits(mask),
-            derivation=derivation,
-            cache_hit=hit,
-            degradation_level=derivation.degradation_level,
-            backend_used=outcome.backend_used,
-            failover_reason=outcome.failover_reason,
-            tally=tally[0] if tally else None,
+            permits=decision.permits,
+            derivation=decision.derivation,
+            tally=stats,
+            cache_hit=decision.cache_hit,
+            degradation_level=decision.derivation.degradation_level,
+            error=decision.error,
+            backend_used=outcome.backend_used if outcome else None,
+            failover_reason=outcome.failover_reason if outcome else None,
         )
+
+    def _mask(
+        self,
+        rows: Sequence[Row],
+        columns: Sequence[Column],
+        mask: Mask,
+        compiled: Optional[CompiledMask],
+    ) -> Tuple[MaskedChunk, DeliveryStats]:
+        """Mask a whole answer's rows, or one chunk of them, and tally
+        what is delivered: the mask-and-tally step of every mode.
+
+        The columnar kernel masks the row tuple directly and reports
+        the statistics from its visibility lanes.  Only when
+        compilation failed do the rows go to the interpreted
+        ``Mask.apply``, wrapped in a throwaway
+        :class:`~repro.algebra.relation.Relation` (safe: answers and
+        stream chunks are already deduplicated, so set semantics
+        cannot drop rows), and ``DeliveryStats.of`` counts what it
+        delivered.
+        """
+        drop = self.config.drop_fully_masked_rows
+        if compiled is not None:
+            tally: List[DeliveryStats] = []
+            masked = compiled.apply_rows(rows, drop_fully_masked=drop,
+                                         tally=tally)
+            return masked, tally[0]
+        relation = Relation(columns, rows, validate=False)
+        masked = mask.apply(relation, drop_fully_masked=drop)
+        return masked, DeliveryStats.of(masked, len(columns))
 
     def _compiled_for(self, mask: Mask, derivation: MaskDerivation,
                       cache_key: DerivationKey) -> Optional[CompiledMask]:
@@ -736,43 +776,6 @@ class AuthorizationEngine:
                 if not self.config.fail_closed:
                     raise
         return compiled
-
-    def _failed_answer(self, user: str, query: Query, plan: PSJQuery,
-                       error: Exception) -> AuthorizedAnswer:
-        """The fail-closed fallback: nothing delivered, error recorded."""
-        return self._denied_answer(
-            user, query, plan, f"{type(error).__name__}: {error}"
-        )
-
-    def _denied_answer(self, user: str, query: Query, plan: PSJQuery,
-                       reason: str) -> AuthorizedAnswer:
-        """An empty-mask answer: nothing delivered, ``reason`` recorded.
-
-        Built from parts that cannot themselves fail — an empty mask
-        over the plan's output columns and an empty answer relation —
-        so the fail-closed boundary never recurses into another
-        failure.  Also the shape of an admission-control hard shed.
-        """
-        derivation = empty_derivation(
-            plan, self.database.schema, reason=reason
-        )
-        assert derivation.mask is not None
-        return AuthorizedAnswer(
-            user=user,
-            query=query,
-            plan=plan,
-            answer=Relation(
-                plan.output_columns(self.database.schema), (),
-                validate=False,
-            ),
-            mask=Mask.from_table(derivation.mask),
-            delivered=(),
-            permits=(),
-            derivation=derivation,
-            cache_hit=False,
-            degradation_level=EMPTY_LEVEL,
-            error=reason,
-        )
 
     def _derive(
         self, plan: PSJQuery, views: ViewSnapshot, key: DerivationKey,

@@ -3,15 +3,17 @@
 :class:`AnswerStream` is the iterator-mode counterpart of
 :class:`~repro.core.answer.AuthorizedAnswer`, produced by
 :meth:`repro.core.engine.AuthorizationEngine.authorize_stream`.  The
-*authorization decision* is identical — same mask derivation, same
-inferred permits, same fail-closed contract — but the answer side is a
+*authorization decision* is the same one: the engine's one
+establishment step (snapshot, derivation, denial, compiled mask,
+inferred permits) runs for both, and the stream carries its
+``derivation`` just as an answer does.  Only the answer side is a
 pipeline: evaluation yields deduplicated rows in chunks
 (:func:`repro.algebra.optimize.iter_evaluate_optimized` on the Python
-backend, materialize-and-chunk elsewhere), each chunk is masked by the
-columnar kernel, delivered, and dropped.  A 10^7-row answer therefore
-never exists in memory at once; what is retained is the filtered sides
-of the joined occurrences, the dedupe set when the projection drops a
-column, and one chunk.
+backend, materialize-and-chunk elsewhere), and the engine's one
+mask-and-tally step masks each chunk, which is delivered and dropped.
+A 10^7-row answer therefore never exists in memory at once; what is
+retained is the filtered sides of the joined occurrences, the dedupe
+set when the projection drops a column, and one chunk.
 
 The stream accounts delivery statistics as it goes, so after
 exhaustion :meth:`AnswerStream.stats` reports exactly what
@@ -19,7 +21,8 @@ exhaustion :meth:`AnswerStream.stats` reports exactly what
 the rows *actually delivered*: a stream that failed closed mid-way (or
 was abandoned by its consumer) reports the prefix it delivered, with
 :attr:`AnswerStream.error` carrying the failure.  The audit trail gets
-one record per stream, written when the stream ends.
+one record per stream, written when the stream ends by the same
+builder that records whole answers.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.calculus.ast import Query
 from repro.core.answer import DeliveryStats
 from repro.core.mask import Mask
 from repro.core.statements import InferredPermit
+from repro.metaalgebra.plan import MaskDerivation
 
 #: One delivered chunk: answer tuples whose hidden cells hold the
 #: ``MASKED`` sentinel (the streaming unit of ``Mask.apply`` output).
@@ -46,8 +50,9 @@ class AnswerStream:
     ``chunk_size`` pieces — byte-identity is property-tested in
     ``tests/test_stream.py``).  The authorization metadata — mask,
     permits, degradation level, backend provenance — is available
-    immediately; delivery statistics accumulate as chunks are
-    consumed and are final once :attr:`finished` is True.
+    immediately, along with the :attr:`derivation` it came from;
+    delivery statistics accumulate as chunks are consumed and are final
+    once :attr:`finished` is True.
 
     A denied or failed request yields an empty stream with
     :attr:`error` set (the fail-closed shape).  A mid-stream failure
@@ -56,8 +61,8 @@ class AnswerStream:
     """
 
     __slots__ = (
-        "user", "query", "plan", "mask", "permits", "chunk_size",
-        "cache_hit", "degradation_level", "backend_used",
+        "user", "query", "plan", "derivation", "mask", "permits",
+        "chunk_size", "cache_hit", "degradation_level", "backend_used",
         "failover_reason", "error", "finished", "arity", "_stats",
         "_chunks",
     )
@@ -67,6 +72,7 @@ class AnswerStream:
         user: str,
         query: Query,
         plan: PSJQuery,
+        derivation: MaskDerivation,
         mask: Mask,
         permits: Tuple[InferredPermit, ...],
         chunk_size: int,
@@ -80,6 +86,9 @@ class AnswerStream:
         self.user = user
         self.query = query
         self.plan = plan
+        #: The mask derivation, as on ``AuthorizedAnswer`` (the empty
+        #: one on a denial); the audit record reads its views.
+        self.derivation = derivation
         self.mask = mask
         self.permits = permits
         self.chunk_size = chunk_size

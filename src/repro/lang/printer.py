@@ -70,9 +70,3 @@ def _format_conditions(conditions: Sequence[Condition],
         keyword = "where" if i == 0 else "and"
         lines.append(f"{keyword} {_render_condition(condition, multi)}")
     return lines
-
-
-def _render_condition_public(condition: Condition,
-                             multi: FrozenSet[str] = frozenset()) -> str:
-    """Exposed for the experiment renderers."""
-    return _render_condition(condition, multi)

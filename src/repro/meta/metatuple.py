@@ -123,9 +123,6 @@ class MetaTuple:
 
     # -- rendering -----------------------------------------------------------
 
-    def render_cells(self, blank_glyph: str = "") -> Tuple[str, ...]:
-        return tuple(cell.render(blank_glyph) for cell in self.cells)
-
     def view_label(self) -> str:
         """Display label: ``ELP`` or ``EST, SAE`` for combined tuples."""
         return ", ".join(sorted(self.views))

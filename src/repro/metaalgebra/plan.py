@@ -128,10 +128,7 @@ def derive_mask(
         pruned_meta[relation] = originals
         if config.self_joins:
             added = selfjoin_closure(
-                schema.get(relation), originals, store,
-                config.max_selfjoin_rounds,
-                config.max_selfjoin_tuples,
-                budget=budget,
+                schema.get(relation), originals, store, budget=budget,
             )
             selfjoin_added[relation] = added
             if budget is not None:
@@ -156,7 +153,6 @@ def derive_mask(
             columns, operands, arities, store, defining,
             padding=config.product_padding, budget=budget,
             excuse=excuse if config.existential_closure else None,
-            prune=config.prune_dangling,
         )
         current = product
     else:
@@ -164,13 +160,11 @@ def derive_mask(
             columns, operands, arities, store,
             padding=config.product_padding, budget=budget,
         )
-        current = product
-        if config.prune_dangling:
-            current = prune_dangling(
-                current, defining,
-                excuse if config.existential_closure else None,
-                budget=budget,
-            )
+        current = prune_dangling(
+            product, defining,
+            excuse if config.existential_closure else None,
+            budget=budget,
+        )
 
     derivation = MaskDerivation(
         admissible_views=views.names,
@@ -181,9 +175,7 @@ def derive_mask(
         streamed=not materialize,
     )
 
-    current = prune_unsatisfiable(current, budget=budget)
-    if config.dedupe:
-        current = current.deduped()
+    current = prune_unsatisfiable(current, budget=budget).deduped()
     derivation.pruned_product = current
     if budget is not None:
         budget.check_deadline("prune")

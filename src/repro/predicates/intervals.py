@@ -16,10 +16,11 @@ unsound one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from repro.algebra.types import Domain, Value
+from repro.algebra.types import Value
 from repro.errors import TypeMismatchError
 from repro.predicates.comparators import Comparator
 
@@ -72,11 +73,6 @@ class Interval:
             return Interval(lo=value, discrete=discrete)
         raise TypeMismatchError(f"unsupported comparator {op}")
 
-    @staticmethod
-    def for_domain(domain: Domain) -> "Interval":
-        """The top interval parameterized by ``domain``'s discreteness."""
-        return Interval.top(discrete=domain.discrete)
-
     # ------------------------------------------------------------------
     # normalization
     # ------------------------------------------------------------------
@@ -86,10 +82,18 @@ class Interval:
 
         ``x > 3`` over integers becomes ``x >= 4``; an excluded point
         equal to a closed endpoint turns the bound strict (then
-        tightens again when discrete).
+        tightens again when discrete).  A discrete interval's float
+        bounds first round inward to integers — ``x > 1.5`` becomes
+        ``x >= 2`` and ``x > 1.0`` becomes ``x > 1``, then ``x >= 2`` —
+        so a store's satisfiability reads the same whether a bound was
+        written as an int or a float.
         """
         lo, lo_strict = self.lo, self.lo_strict
         hi, hi_strict = self.hi, self.hi_strict
+        if self.discrete and (isinstance(lo, float)
+                              or isinstance(hi, float)):
+            lo, lo_strict = _inward(lo, lo_strict, math.ceil)
+            hi, hi_strict = _inward(hi, hi_strict, math.floor)
         excluded = set(self.excluded)
 
         changed = True
@@ -253,6 +257,21 @@ def _fmt(value: Value) -> str:
     if isinstance(value, int) and abs(value) >= 10_000:
         return f"{value:,}"
     return str(value)
+
+
+def _inward(bound: Optional[Value], strict: bool,
+            rounding: Callable[[float], int]) -> Tuple[Optional[Value], bool]:
+    """A discrete interval's finite float ``bound`` as an integer.
+
+    ``rounding`` moves it inward (``ceil`` for a lower bound, ``floor``
+    for an upper one); the bound stays strict only when the float was
+    already integral, since rounding a fractional bound past it
+    already excludes it.
+    """
+    if isinstance(bound, float) and math.isfinite(bound):
+        whole = rounding(bound)
+        return whole, strict and whole == bound
+    return bound, strict
 
 
 def _within(value: Value, lo: Optional[Value], lo_strict: bool,

@@ -34,7 +34,6 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import ExecutionBackend
 
-from repro.algebra.columnar import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.algebra.database import Database, build_database
 from repro.algebra.relation import Row
 from repro.algebra.schema import DatabaseSchema, RelationSchema, make_schema
@@ -149,26 +148,6 @@ class WorkloadGenerator:
                 self._random_value(spec, attribute.domain.name)
                 for attribute in relation.attributes
             )
-
-    def iter_row_chunks(
-        self,
-        spec: WorkloadSpec,
-        relation: RelationSchema,
-        count: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> Iterator[Tuple[Row, ...]]:
-        """Generate ``count`` random rows as bounded-size chunks.
-
-        The chunk-streamed sibling of :meth:`iter_rows`, for drivers
-        that feed 10^7-row instances straight into a chunked consumer
-        (the scale benchmarks, ``CompiledMask.apply_rows``): only one
-        chunk of rows exists at a time.  Row values are identical to
-        ``iter_rows`` with the same generator state — this is a
-        regrouping, not a different sampler.
-        """
-        return iter_chunks(
-            self.iter_rows(spec, relation, count), chunk_size
-        )
 
     def scaled_instance(
         self,

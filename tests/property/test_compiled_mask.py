@@ -334,6 +334,29 @@ class TestIntervalRows:
         assert tally == [DeliveryStats.of(expect, 3)]
 
 
+class TestDiscreteFloatBounds:
+    def test_fractional_bounds_round_inward(self):
+        # Found by TestCompiledMatchesInterpreted: x3 is discrete, and
+        # no integer lies in (1.0, x1) for x1 <= 2.  compile_mask drops
+        # the row as unsatisfiable, so the oracle must deliver nothing
+        # either — also for x1 = 1.5, which leaves x3 in (1.0, 1.5):
+        # the float bounds must round to integers before the interval
+        # can read as empty.
+        store = (ConstraintStore.empty()
+                 .constrain("x1", Comparator.LE, 2, True)
+                 .constrain("x3", Comparator.GT, 1.0, True)
+                 .relate("x3", Comparator.LT, "x1"))
+        columns = (Column("C0", REAL),)
+        meta = MetaTuple(frozenset({"V"}),
+                         (MetaCell.variable("x1", True),), frozenset())
+        mask = Mask(columns, (MaskRow(meta, store),))
+        answer = Relation(columns, [(1.5,), (2.0,)], validate=False)
+        assert compile_mask(mask).rows == ()
+        assert mask.apply(answer) == ((MASKED,), (MASKED,))
+        assert compile_mask(mask).apply_rows(answer.rows) \
+            == mask.apply(answer)
+
+
 seeds = st.integers(min_value=0, max_value=10_000)
 
 

@@ -65,31 +65,6 @@ class TestTraceStages:
 
 
 class TestConfigurationEffects:
-    def test_prune_dangling_off_keeps_rows(self, setup):
-        loose = derive(
-            setup, "Klein", EXAMPLE_2_QUERY.replace("\n", " "),
-            DEFAULT_CONFIG.but(prune_dangling=False, self_joins=False),
-        )
-        strict = derive(
-            setup, "Klein", EXAMPLE_2_QUERY.replace("\n", " "),
-            DEFAULT_CONFIG.but(self_joins=False),
-        )
-        assert loose.pruned_product.cardinality >= \
-            strict.pruned_product.cardinality
-
-    def test_dedupe_off_keeps_replications(self, setup):
-        raw = derive(
-            setup, "Klein", "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE)",
-            DEFAULT_CONFIG.but(dedupe=False, self_joins=False),
-        )
-        deduped = derive(
-            setup, "Klein", "retrieve (EMPLOYEE.NAME, EMPLOYEE.TITLE)",
-            DEFAULT_CONFIG.but(self_joins=False),
-        )
-        # EST's two identical tuples survive without dedupe.
-        assert raw.pruned_product.cardinality >= \
-            deduped.pruned_product.cardinality
-
     def test_selfjoin_pool_filtering(self, setup):
         """Combinations involving non-admissible views must not enter
         the product: the closure ranges over the admissible views

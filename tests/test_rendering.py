@@ -108,7 +108,6 @@ class TestEngineConfig:
         assert not BASE_MODEL_CONFIG.refine_selection
         assert not BASE_MODEL_CONFIG.product_padding
         assert not BASE_MODEL_CONFIG.self_joins
-        assert BASE_MODEL_CONFIG.prune_dangling  # soundness stays on
 
     def test_frozen(self):
         with pytest.raises(Exception):

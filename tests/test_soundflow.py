@@ -812,15 +812,15 @@ def test_live_tree_flow_passes_are_clean() -> None:
 
 def test_live_tree_taint_reaches_the_engine() -> None:
     # The fixpoint is not vacuous on the real tree: the evaluate path
-    # is source-tainted and the assembled answer is clean.
+    # is source-tainted and the built answer is clean.
     context = build_context(REPO_ROOT)
     analysis = taint_for(context)
     evaluate = analysis.summaries[
         "repro.core.engine:AuthorizationEngine._evaluate"]
     assert "source" in evaluate.returns
-    assemble = analysis.summaries[
-        "repro.core.engine:AuthorizationEngine._assemble"]
-    assert "source" not in assemble.returns
+    answer = analysis.summaries[
+        "repro.core.engine:AuthorizationEngine._answer"]
+    assert "source" not in answer.returns
 
 
 def test_live_tree_lock_order_matches_declaration() -> None:

@@ -14,12 +14,16 @@ every delivery mode lives in ``tests/property/test_engine_properties.py``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from dataclasses import replace
+
 import pytest
 
 from repro.algebra.database import build_database
 from repro.algebra.schema import make_schema
 from repro.algebra.types import INTEGER, STRING
 from repro.config import DEFAULT_CONFIG
+from repro.core.answer import DeliveryStats
 from repro.core.audit import AuditLog
 from repro.core.engine import AuthorizationEngine
 from repro.errors import BackendError, ParseError
@@ -174,10 +178,12 @@ class TestFailClosed:
             raise BackendError("mid-stream loss")
 
         # Re-point the stream at an evaluation that dies after one
-        # chunk: the engine's generator must deliver the first chunk,
-        # then end the stream failed-closed instead of propagating.
+        # chunk: the engine's generator must deliver the first chunk
+        # (masked here by the interpreted fallback, as no compiled
+        # mask is passed), then end the stream failed-closed instead
+        # of propagating.
         stream._chunks = paper_engine._stream_chunks(
-            stream, broken(), None, ()
+            stream, broken(), None
         )
         chunks = list(stream)
         assert len(chunks) == 1
@@ -269,3 +275,47 @@ class TestStreamAudit:
         assert len(audit) == 1
         assert audit.records()[-1].outcome == "denied"
         assert audit.records()[-1].error is not None
+
+
+#: What both modes run under in TestOnePipeline: nothing, a fault at
+#: establishment, or masks that never compile.
+CONDITIONS = {
+    "plain": nullcontext,
+    "evaluate fault": lambda: faults.inject(
+        {"engine.evaluate": faults.Fault("raise")}),
+    "interpreted": masks_never_compile,
+}
+
+
+class TestOnePipeline:
+    """``authorize`` and a drained ``authorize_stream`` share one
+    establishment step, one mask-and-tally step and one audit-record
+    builder, so they must leave the same trail."""
+
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    @pytest.mark.parametrize("user", ["Brown", "Klein", "stranger"])
+    @pytest.mark.parametrize("query", EXAMPLES)
+    def test_modes_leave_equal_records(self, condition, user, query):
+        whole, streamed = build_paper_engine(), build_paper_engine()
+        whole.audit, streamed.audit = AuditLog(), AuditLog()
+        # Twice on each engine: a fresh derivation, then a cache hit.
+        for _ in range(2):
+            with CONDITIONS[condition]():
+                answer = whole.authorize(user, query)
+                stream = streamed.authorize_stream(user, query,
+                                                   chunk_size=1)
+                rows = drain(stream)
+            assert rows == answer.delivered
+            for field in ("cache_hit", "degradation_level", "backend_used",
+                          "failover_reason", "error"):
+                assert getattr(stream, field) == getattr(answer, field), \
+                    field
+            # The tally matches the oracle count of what was delivered,
+            # on the kernel and on the interpreted fallback alike.
+            assert answer.stats() == DeliveryStats.of(
+                answer.delivered, answer.answer.arity)
+        records = [replace(r, sequence=0) for r in whole.audit.records()]
+        assert [replace(r, sequence=0)
+                for r in streamed.audit.records()] == records
+        assert records[-1].admissible_views \
+            == answer.derivation.admissible_views
