@@ -12,7 +12,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.lang.parser import parse_statement
 from repro.meta.catalog import PermissionCatalog
 from repro.metaalgebra.selection import meta_select
-from repro.metaalgebra.table import MaskRow, MaskTable
+from repro.metaalgebra.table import MaskTable
 from repro.predicates.comparators import Comparator
 from repro.predicates.store import ConstraintStore
 from repro.workloads.paperdb import (

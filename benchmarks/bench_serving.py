@@ -24,7 +24,6 @@ the historical record of the first run.
 from __future__ import annotations
 
 import json
-import statistics
 import threading
 import time
 from pathlib import Path
@@ -313,7 +312,7 @@ def test_scaling_across_worker_counts():
             "mean_batch": round(telemetry.mean_batch, 2),
         }
     _record("serving_scaling", scaling)
-    print(f"\nscaling: " + "  ".join(
+    print("\nscaling: " + "  ".join(
         f"{workers}w={entry['qps']:.0f}qps"
         for workers, entry in scaling.items()
     ))

@@ -15,8 +15,8 @@ explaining the reduction:
 Run:  python examples/hospital_records.py
 """
 
-from repro.extensions import UpdateAuthorizer
 from repro.errors import AuthorizationError
+from repro.extensions import UpdateAuthorizer
 from repro.workloads import hospital_scenario
 
 

@@ -8,9 +8,6 @@ harness, so the output can be compared line by line with the paper.
 Run:  python examples/paper_walkthrough.py
 """
 
-from repro.experiments import (  # noqa: F401  (package marker)
-    ExperimentResult,
-)
 from repro.experiments.runner import run_all
 
 

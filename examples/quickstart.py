@@ -13,10 +13,10 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    AuthorizationEngine,
     INTEGER,
-    PermissionCatalog,
     STRING,
+    AuthorizationEngine,
+    PermissionCatalog,
     build_database,
     make_schema,
 )

@@ -33,14 +33,14 @@ paper-vs-measured record of every reproduced figure, table and example.
 """
 
 from repro.algebra import (
+    INTEGER,
+    REAL,
+    STRING,
     Attribute,
     Database,
     DatabaseSchema,
-    INTEGER,
-    REAL,
     Relation,
     RelationSchema,
-    STRING,
     build_database,
     make_schema,
 )
@@ -59,11 +59,11 @@ from repro.calculus import (
 )
 from repro.config import BASE_MODEL_CONFIG, DEFAULT_CONFIG, EngineConfig
 from repro.core import (
+    MASKED,
     AuthorizationEngine,
     AuthorizedAnswer,
     FrontEnd,
     InferredPermit,
-    MASKED,
     Mask,
     Session,
 )

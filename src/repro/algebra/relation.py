@@ -201,7 +201,10 @@ class Relation:
         """Return this relation with new column labels."""
         if len(labels) != self.arity:
             raise EvaluationError("rename arity mismatch")
-        columns = tuple(c.renamed(l) for c, l in zip(self.columns, labels))
+        columns = tuple(
+            column.renamed(label)
+            for column, label in zip(self.columns, labels)
+        )
         return Relation(columns, self.rows, validate=False)
 
     def union(self, other: "Relation") -> "Relation":

@@ -42,7 +42,7 @@ from repro.analysis.flow.callgraph import (
     FunctionInfo,
     Resolution,
 )
-from repro.analysis.framework import Context, Violation
+from repro.analysis.framework import Violation
 
 #: The taint token for raw backend/evaluation data.
 SOURCE = "source"

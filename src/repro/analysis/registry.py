@@ -250,7 +250,6 @@ BYPASS_IMPORTS: FrozenSet[str] = frozenset({
 TAINT_SOURCES: FrozenSet[str] = frozenset({
     # The backend protocol and every implementation of it.
     "repro.backends.base:ExecutionBackend.execute",
-    "repro.backends.base:ExecutionBackend.execute_stream",
     "repro.backends.common:_SQLBackend.execute",
     "repro.backends.python:PythonBackend.execute",
     "repro.backends.python:PythonBackend.execute_stream",
@@ -258,7 +257,8 @@ TAINT_SOURCES: FrozenSet[str] = frozenset({
     "repro.resilience.failover:ResilientExecutor.execute",
     "repro.resilience.failover:ResilientExecutor.execute_stream",
     # Direct evaluation of a plan, optimized or not, chunked or not.
-    "repro.algebra.evaluate:evaluate",
+    "repro.algebra.evaluate:evaluate_naive",
+    "repro.algebra.evaluate:trace_naive",
     "repro.algebra.optimize:evaluate_optimized",
     "repro.algebra.optimize:iter_evaluate_optimized",
     # Raw relation access on the catalog.
@@ -267,17 +267,12 @@ TAINT_SOURCES: FrozenSet[str] = frozenset({
 
 #: ``module:qualname`` of every function whose return value is
 #: *masked* data: the registered mask applications (the SL005 fast
-#: paths and their oracle) plus the masked backend entry points.  A
-#: tainted value passed through one of these comes out clean.
+#: paths and their oracle).  A tainted value passed through one of
+#: these comes out clean.
 TAINT_SANITIZERS: FrozenSet[str] = frozenset({
     "repro.core.mask:Mask.apply",
     "repro.core.compiled_mask:CompiledMask.apply_rows",
     "repro.core.compiled_mask:apply_mask_columnar",
-    # Masked execution applies the mask inside the backend.
-    "repro.backends.base:ExecutionBackend.execute_masked",
-    "repro.backends.common:_SQLBackend.execute_masked",
-    "repro.backends.python:PythonBackend.execute_masked",
-    "repro.resilience.failover:ResilientExecutor.execute_masked",
     # The ladder derives masks (meta-data, never user rows); its
     # output feeds the sanitizers above rather than carrying data.
     "repro.metaalgebra.ladder:derive_mask_resilient",

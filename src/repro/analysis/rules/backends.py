@@ -2,8 +2,8 @@
 
 The backend contract (``docs/BACKENDS.md``) is the fast-path oracle
 discipline of SL005 lifted to whole execution engines: the Python
-backend is the reference, and every other backend must deliver
-sorted-row identical answers — unmasked and masked — under a
+backend is the reference, and every other backend must return the same
+answers, and deliver the same masked rows through the engine, under a
 differential suite.  This rule makes the discipline checkable: every
 execution backend — registered in
 :data:`repro.analysis.registry.EXECUTION_BACKENDS`, discovered by name

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, Set
+from typing import Iterator, Set
 
 from repro.analysis.framework import (
     FunctionNode,

@@ -11,7 +11,6 @@ run via ``Any``.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator, List
 
 from repro.analysis.framework import (

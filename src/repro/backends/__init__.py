@@ -3,39 +3,37 @@
 Where the data-plane half of the authorization process runs.  The
 engine asks :func:`make_backend` for the backend named by
 ``EngineConfig.backend`` and routes every plan evaluation through it;
-the mask-derivation half (the meta-algebra) is backend-independent.
+the mask-derivation half (the meta-algebra) is backend-independent,
+and the engine masks every backend's answer with the same kernel.
 
 * ``python`` — the in-process reference evaluator, and the
   differential oracle for everything else.
-* ``sqlite`` — plans and SQL-extractable masks compiled into single
-  statements over an embedded stdlib ``sqlite3`` store.
+* ``sqlite`` — plans compiled into single statements over an embedded
+  stdlib ``sqlite3`` store.
 * ``duckdb`` — the same compiler over the optional ``duckdb`` driver.
 
-See ``docs/BACKENDS.md`` for the compilation scheme, the mask
-pushdown and its fallback, and the parity guarantees (soundlint rule
-SL008 pins each non-oracle backend to its oracle and differential
-test suite).
+See ``docs/BACKENDS.md`` for the compilation scheme and the parity
+guarantees (soundlint rule SL008 pins each non-oracle backend to its
+oracle and differential test suite).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.algebra.database import Database
-    from repro.backends.base import ExecutionBackend as _Backend
+from repro.algebra.database import Database
+from repro.backends.base import ExecutionBackend
+from repro.backends.duckdb import DuckDBBackend
+from repro.backends.python import PythonBackend
+from repro.backends.sqlite import SQLiteBackend
+from repro.errors import BackendUnavailableError
 
 #: Names :func:`make_backend` accepts, in documentation order.
 BACKEND_NAMES = ("python", "sqlite", "duckdb")
 
 
-# NOTE: make_backend is defined — and its imports deferred — *before*
-# the class re-exports below.  Importing any backend module can pull
-# in repro.core (for Mask/CompiledMask), whose engine module imports
-# make_backend from this partially-initialized package; defining the
-# factory first keeps that cycle well-founded.
 def make_backend(name: str,
-                 database: Optional["Database"] = None) -> "_Backend":
+                 database: Optional[Database] = None) -> ExecutionBackend:
     """Construct the execution backend called ``name``.
 
     When ``database`` is given it is loaded immediately (for the SQL
@@ -46,31 +44,18 @@ def make_backend(name: str,
             backends whose driver is not installed.
     """
     if name == "python":
-        from repro.backends.python import PythonBackend
         return PythonBackend(database)
     if name == "sqlite":
-        from repro.backends.sqlite import SQLiteBackend
         return SQLiteBackend(database)
     if name == "duckdb":
-        from repro.backends.duckdb import DuckDBBackend
         return DuckDBBackend(database)
-    from repro.errors import BackendUnavailableError
     raise BackendUnavailableError(
         name, f"known backends: {', '.join(BACKEND_NAMES)}"
     )
 
 
-from repro.backends.base import (  # noqa: E402
-    DeliveredRows,
-    ExecutionBackend,
-)
-from repro.backends.duckdb import DuckDBBackend  # noqa: E402
-from repro.backends.python import PythonBackend  # noqa: E402
-from repro.backends.sqlite import SQLiteBackend  # noqa: E402
-
 __all__ = [
     "BACKEND_NAMES",
-    "DeliveredRows",
     "DuckDBBackend",
     "ExecutionBackend",
     "PythonBackend",

@@ -4,7 +4,10 @@ The paper's authorization process separates *what* to compute — the
 plan A and the mask A' — from *where* the data-plane half runs.  An
 :class:`ExecutionBackend` owns that second half: it holds (a copy of,
 or a reference to) the database instance and evaluates PSJ plans
-against it, optionally applying the mask inside its own engine.
+against it.  Masking is not a backend's concern: the engine applies
+A' to every backend's answer with the one compiled-mask kernel
+(Figure 2's single step), so where A is evaluated never changes what
+is delivered.
 
 Three implementations ship with the library (see
 :func:`repro.backends.make_backend`):
@@ -14,16 +17,13 @@ Three implementations ship with the library (see
   every other backend must be sorted-row identical to it
   (``tests/property/test_backend_parity.py``, soundlint rule SL008).
 * ``sqlite`` — :class:`repro.backends.sqlite.SQLiteBackend`, compiling
-  plans (and SQL-extractable masks) into single statements over an
-  embedded stdlib ``sqlite3`` store.
+  plans into single statements over an embedded stdlib ``sqlite3``
+  store.
 * ``duckdb`` — :class:`repro.backends.duckdb.DuckDBBackend`, the same
   SQL compiler over the optional ``duckdb`` driver.
 
-The protocol is deliberately small: the engine only ever needs
-:meth:`ExecutionBackend.execute` (the authorize path applies masks
-itself so the audited answer and the delivered rows stay consistent),
-while :meth:`ExecutionBackend.execute_masked` is the data-plane API
-that lets SQL backends mask *inside* the query engine.
+The protocol is deliberately small: :meth:`ExecutionBackend.load` and
+:meth:`ExecutionBackend.execute`.
 
 Backends may additionally offer ``execute_stream(plan, chunk_size)``
 yielding deduplicated answer rows in chunks — an *optional*
@@ -38,18 +38,11 @@ implementation with its materializing oracle).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.algebra.database import Database
 from repro.algebra.expression import PSJQuery
 from repro.algebra.relation import Relation
-from repro.core.compiled_mask import CompiledMask
-from repro.core.mask import Mask
-
-#: Rows delivered by ``execute_masked``: answer tuples whose hidden
-#: cells hold the ``MASKED`` sentinel — the exact return type of
-#: :meth:`repro.core.mask.Mask.apply`.
-DeliveredRows = Tuple[Tuple, ...]
 
 
 @runtime_checkable
@@ -86,24 +79,5 @@ class ExecutionBackend(Protocol):
             BackendError: when no database is loaded or the embedded
                 engine fails; inside ``authorize`` the fail-closed
                 boundary turns this into an empty-mask answer.
-        """
-        ...
-
-    def execute_masked(
-        self,
-        plan: PSJQuery,
-        mask: Mask,
-        compiled: Optional[CompiledMask] = None,
-        drop_fully_masked: bool = False,
-    ) -> DeliveredRows:
-        """Evaluate ``plan`` and apply ``mask``, in one round trip.
-
-        Returns exactly what ``mask.apply(execute(plan), ...)`` would
-        (up to row order): answer tuples with withheld cells replaced
-        by the ``MASKED`` sentinel, fully masked tuples optionally
-        dropped.  SQL backends compile ``mask`` when no ``compiled``
-        form is given, push it into the statement itself (``CASE
-        WHEN`` per column) when ``compiled.pushdown`` holds, and mask
-        with the columnar kernel otherwise.
         """
         ...

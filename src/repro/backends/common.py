@@ -39,17 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 from repro.algebra.database import Database
 from repro.algebra.expression import PSJQuery
 from repro.algebra.relation import Column, Relation, Row
-from repro.algebra.to_sql import (
-    masked_plan_to_sql,
-    plan_to_sql,
-    table_name,
-)
-from repro.core.compiled_mask import (
-    CompiledMask,
-    apply_mask_columnar,
-    compile_mask,
-)
-from repro.core.mask import MASKED, Mask
+from repro.algebra.to_sql import plan_to_sql, table_name
 from repro.errors import BackendError
 from repro.testing.faults import maybe_fault
 
@@ -191,49 +181,6 @@ class _SQLBackend:
             validate=False,
         )
 
-    def execute_masked(
-        self,
-        plan: PSJQuery,
-        mask: Mask,
-        compiled: Optional[CompiledMask] = None,
-        drop_fully_masked: bool = False,
-    ) -> Tuple[Tuple, ...]:
-        """Run ``plan`` with ``mask`` pushed into the SQL statement.
-
-        ``compiled`` is the mask's one lowering
-        (:func:`repro.core.compiled_mask.compile_mask`), compiled here
-        when not given.  When no row keeps a residual store check
-        (``compiled.pushdown``), masking happens inside the query
-        engine: one statement computes the answer and nulls out hidden
-        cells, and the only Python-side work is translating NULL back
-        to the ``MASKED`` sentinel (sound because the stored domains
-        never produce NULL).  Otherwise — and for a mask that shows
-        every cell — the plan is evaluated in SQL and masked with the
-        columnar kernel.
-        """
-        database = self._require_database()
-        plan.validate(database.schema)
-        if compiled is None:
-            compiled = compile_mask(mask)
-        if compiled.covers_all or not compiled.pushdown:
-            return apply_mask_columnar(
-                compiled, self.execute(plan),
-                drop_fully_masked=drop_fully_masked,
-            )
-        sql = masked_plan_to_sql(
-            plan, database.schema, compiled,
-            drop_fully_masked=drop_fully_masked,
-        )
-        with self._lock:
-            self._sync_locked(plan.relation_names())
-            raw = self._fetch_locked(sql)
-        # ``None in row`` is a C-level test: rows with every cell
-        # visible pass through untouched, and only the others are
-        # rebuilt with NULL translated.
-        return tuple(
-            row if None not in row else _unmask_nulls(row) for row in raw
-        )
-
     # ------------------------------------------------------------------
     # driver-error boundary
     # ------------------------------------------------------------------
@@ -264,8 +211,3 @@ class _SQLBackend:
             raise BackendError(
                 f"{self.name} query failed: {error}"
             ) from error
-
-
-def _unmask_nulls(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """``row`` with each SQL NULL (a masked cell) as ``MASKED``."""
-    return tuple(MASKED if value is None else value for value in row)

@@ -1,8 +1,7 @@
 """The in-process reference backend (the differential oracle).
 
-Wraps the existing evaluator pipeline — ``evaluate_optimized`` for
-plans, the columnar kernel or ``Mask.apply`` for masking — behind
-the :class:`~repro.backends.base.ExecutionBackend` protocol.  This is
+Wraps the in-process evaluator, ``evaluate_optimized``, behind the
+:class:`~repro.backends.base.ExecutionBackend` protocol.  This is
 the backend every engine uses by default, and the oracle the SQL
 backends are differentially tested against
 (``tests/property/test_backend_parity.py``, soundlint rule SL008).
@@ -24,8 +23,6 @@ from repro.algebra.database import Database
 from repro.algebra.expression import PSJQuery
 from repro.algebra.optimize import evaluate_optimized, iter_evaluate_optimized
 from repro.algebra.relation import Relation, Row
-from repro.core.compiled_mask import CompiledMask, apply_mask_columnar
-from repro.core.mask import Mask
 from repro.errors import BackendError
 
 
@@ -74,24 +71,3 @@ class PythonBackend:
         return iter_evaluate_optimized(
             plan, self._require_database(), chunk_size=chunk_size
         )
-
-    def execute_masked(
-        self,
-        plan: PSJQuery,
-        mask: Mask,
-        compiled: Optional[CompiledMask] = None,
-        drop_fully_masked: bool = False,
-    ) -> Tuple[Tuple, ...]:
-        """Evaluate then mask — the reference composition.
-
-        With a ``compiled`` mask the columnar kernel
-        (:func:`repro.core.compiled_mask.apply_mask_columnar`) masks
-        the answer, else the interpreted ``Mask.apply``; the two are
-        byte-identical (``tests/property/test_columnar_relation.py``).
-        """
-        answer = self.execute(plan)
-        if compiled is not None:
-            return apply_mask_columnar(
-                compiled, answer, drop_fully_masked=drop_fully_masked,
-            )
-        return mask.apply(answer, drop_fully_masked=drop_fully_masked)

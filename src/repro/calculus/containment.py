@@ -19,7 +19,7 @@ algebraic method fails to discover it (Section 4.2's opening caveat).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algebra.schema import DatabaseSchema
 from repro.calculus.ast import Query, ViewDefinition

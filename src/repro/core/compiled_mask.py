@@ -1,4 +1,4 @@
-"""Compiled masks: one lowering per mask row, two consumers.
+"""Compiled masks: one lowering per mask row, one masking kernel.
 
 ``Mask.apply`` is the one per-request cost that scales with the answer:
 the interpreted path re-derives each row's starred positions and
@@ -25,27 +25,23 @@ unsatisfiable store) are dropped; rows with no checks at all fold into
 ``always_visible``, which also yields the ``covers_everything`` fast
 path when they expose every column.
 
-Two consumers read the one :class:`CompiledMask`:
+The **columnar kernel** reads the one :class:`CompiledMask`:
+:meth:`CompiledMask.apply_rows` (one chunk, or a whole answer's rows)
+and :func:`apply_mask_columnar` (a whole relation).  It is the engine's
+only production masker, and it masks every execution backend's answer
+alike.  Each distinct comparison runs once per chunk as one C-level
+``map`` over a column, packed into a byte-lane int (one byte per row,
+0 or 1).  A row's comparisons AND together and the rows OR into
+per-column visibility lanes.  Only a residual row calls
+``satisfied_by``, and only on the rows its lane left.  Delivered rows
+are built column by column, and the lanes' popcounts give the chunk's
+:class:`~repro.core.answer.DeliveryStats` without a second walk.
 
-* the **columnar kernel** — :func:`apply_mask_columnar` (a whole
-  answer) and :meth:`CompiledMask.apply_rows` (one streamed chunk), the
-  engine's only production masker.  Each distinct comparison runs once
-  per chunk as one C-level ``map`` over a column, packed into a
-  byte-lane int (one byte per row, 0 or 1).  A row's comparisons AND
-  together and the rows OR into per-column visibility lanes.  Only a
-  residual row calls ``satisfied_by``, and only on the rows its lane
-  left.  Delivered rows are built column by column, and the lanes'
-  popcounts give the chunk's
-  :class:`~repro.core.answer.DeliveryStats` without a second walk;
-* the **SQL renderer**, :func:`repro.algebra.to_sql.masked_plan_to_sql`,
-  prints the same comparisons as ``CASE WHEN`` predicates.  It applies
-  exactly when no row has a residual (:attr:`CompiledMask.pushdown`).
-
-Both are differentially identical to the interpreted ``Mask.apply``
-(the reference oracle): ``tests/property/test_compiled_mask.py`` and
-``tests/property/test_columnar_relation.py`` pin the kernel,
-``tests/property/test_backend_parity.py`` the SQL renderer.  The
-engine stores compiled masks alongside derivations in the
+The kernel is differentially identical to the interpreted
+``Mask.apply`` (the reference oracle):
+``tests/property/test_compiled_mask.py`` and
+``tests/property/test_columnar_relation.py`` pin it.  The engine
+stores compiled masks alongside derivations in the
 :class:`~repro.core.cache.DerivationCache` under the same key, so
 compilation is amortized exactly like derivation (``docs/CACHING.md``).
 """
@@ -132,15 +128,14 @@ class CompiledRow:
 class CompiledMask:
     """A mask lowered once: its compiled rows plus the kernel's plan.
 
-    ``rows`` holds the conditional rows in mask order (the SQL
-    renderer's input).  The kernel reads them through a plan built
-    here: the mask's distinct comparisons, and per row the indices of
-    its comparisons and the columns it can reveal beyond
-    ``always_visible``.
+    ``rows`` holds the conditional rows in mask order.  The kernel
+    reads them through a plan built here: the mask's distinct
+    comparisons, and per row the indices of its comparisons and the
+    columns it can reveal beyond ``always_visible``.
     """
 
     __slots__ = ("ncols", "always_visible", "rows", "covers_all",
-                 "pushdown", "_steps", "_plan", "_reads", "_conditional")
+                 "_steps", "_plan", "_reads", "_conditional")
 
     def __init__(self, ncols: int, always_visible: FrozenSet[int],
                  rows: Tuple[CompiledRow, ...]) -> None:
@@ -151,9 +146,6 @@ class CompiledMask:
         #: delivered untouched (the ``covers_everything`` fast path,
         #: generalized to unions of unconditional rows).
         self.covers_all = ncols > 0 and len(always_visible) == ncols
-        #: No row needs the constraint store at match time, so the SQL
-        #: renderer can express the whole mask.
-        self.pushdown = all(row.residual is None for row in rows)
         #: Columns whose visibility depends on the tuple.
         self._conditional = tuple(
             j for j in range(ncols) if j not in always_visible

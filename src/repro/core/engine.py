@@ -88,6 +88,7 @@ from repro.errors import (
 from repro.extensions.closure import make_excuse
 from repro.lang.parser import parse_statement
 from repro.meta.catalog import PermissionCatalog, ViewSnapshot
+from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.canonical import PlanKey, canonical_plan_key
 from repro.metaalgebra.ladder import (
     EMPTY_LEVEL,
@@ -95,7 +96,6 @@ from repro.metaalgebra.ladder import (
     empty_derivation,
     rung_config,
 )
-from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.plan import MaskDerivation
 # Not called here (derive_mask computes the closure); kept bound so
 # the per-layer wrappers of benchmarks/authbench/layers.py resolve.

@@ -21,12 +21,12 @@ from typing import Dict, List, Tuple
 from repro.algebra.database import build_database
 from repro.algebra.schema import make_schema
 from repro.algebra.types import INTEGER, STRING
+from repro.calculus.ast import Query
 from repro.config import BASE_MODEL_CONFIG, DEFAULT_CONFIG, EngineConfig
 from repro.core.engine import AuthorizationEngine
 from repro.experiments.result import ExperimentResult
 from repro.experiments.tables import ascii_table
 from repro.meta.catalog import PermissionCatalog
-from repro.calculus.ast import Query
 from repro.workloads.generator import (
     Workload,
     WorkloadGenerator,

@@ -34,8 +34,8 @@ from typing import Dict, List, Tuple
 from repro.algebra.schema import DatabaseSchema
 from repro.algebra.types import INTEGER
 from repro.calculus.ast import Condition, ConstTerm, Query, ViewDefinition
-from repro.core.answer import AuthorizedAnswer
 from repro.calculus.containment import is_contained_in
+from repro.core.answer import AuthorizedAnswer
 from repro.core.engine import AuthorizationEngine
 from repro.errors import ReproError
 from repro.experiments.result import ExperimentResult
@@ -152,8 +152,8 @@ def run() -> ExperimentResult:
                         comparison_probability=1.0)
 
     # Views: the paper's four plus generated ones with comparisons.
-    from repro.workloads.paperdb import VIEW_STATEMENTS
     from repro.lang.parser import parse_view
+    from repro.workloads.paperdb import VIEW_STATEMENTS
 
     views = [parse_view(text) for text in VIEW_STATEMENTS]
     for i in range(8):

@@ -20,7 +20,7 @@ capability the paper contributes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.baselines.ingres import IngresModel
 from repro.baselines.motro import MotroModel

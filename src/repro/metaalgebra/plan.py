@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.algebra.expression import AtomicCondition, PSJQuery
+from repro.algebra.expression import PSJQuery
 from repro.algebra.schema import DatabaseSchema
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.meta.catalog import ViewSnapshot

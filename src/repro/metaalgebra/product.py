@@ -46,8 +46,7 @@ from typing import (
 )
 
 from repro.algebra.relation import Column
-from repro.meta.metatuple import MetaTuple, TupleId, blank_tuple, \
-    canonical_key
+from repro.meta.metatuple import MetaTuple, TupleId, blank_tuple, canonical_key
 from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.prune import ExcusePredicate, meta_is_closed
 from repro.metaalgebra.table import MaskRow, MaskTable

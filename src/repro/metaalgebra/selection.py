@@ -42,11 +42,10 @@ from repro.config import EngineConfig
 from repro.meta.cell import MetaCell
 from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.table import MaskRow, MaskTable
-from repro.testing.faults import maybe_fault
 from repro.predicates.comparators import Comparator
-from repro.predicates.implication import SelectionCase, classify
 from repro.predicates.intervals import Interval
 from repro.predicates.store import ConstraintStore
+from repro.testing.faults import maybe_fault
 
 
 @dataclass(frozen=True)

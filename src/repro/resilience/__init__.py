@@ -22,7 +22,6 @@ from repro.resilience.breaker import (
 )
 from repro.resilience.failover import (
     ExecutionOutcome,
-    MaskedOutcome,
     ResilientExecutor,
 )
 from repro.resilience.retry import RetryPolicy
@@ -36,5 +35,4 @@ __all__ = [
     "RetryPolicy",
     "ResilientExecutor",
     "ExecutionOutcome",
-    "MaskedOutcome",
 ]

@@ -1,16 +1,17 @@
 """Sound oracle failover: backend failures never surface to callers.
 
 The paper's masking semantics make the pure-Python evaluator a *sound
-substitute* for any execution backend: the mask derivation is
-backend-independent, so where the answer half runs is an operational
-choice, not a semantic one (the parity discipline of soundlint SL008
-is exactly the proof obligation).  That licence is what this module
-cashes in: when a backend call fails past its retry budget — or its
-circuit breaker is open — the :class:`ResilientExecutor` transparently
-re-evaluates the plan on the registered oracle
-(:class:`~repro.backends.python.PythonBackend`) instead of failing the
-request closed.  The *authorization decision is unchanged*; only the
-engine that computed the answer moved, and the move is recorded on
+substitute* for any execution backend: the mask is derived without the
+data and applied by the engine to whatever answer comes back, so where
+the answer half runs is an operational choice, not a semantic one (the
+parity discipline of soundlint SL008 is exactly the proof obligation).
+That licence is what this module cashes in: when a backend call fails
+past its retry budget — or its circuit breaker is open — the
+:class:`ResilientExecutor` transparently re-evaluates the plan on the
+registered oracle (:class:`~repro.backends.python.PythonBackend`)
+instead of failing the request closed.  The *authorization decision is
+unchanged*; only the engine that computed the answer moved, and the
+move is recorded on
 :class:`~repro.core.answer.AuthorizedAnswer.backend_used` /
 ``failover_reason`` and in the audit trail.
 
@@ -32,25 +33,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.algebra.columnar import DEFAULT_CHUNK_SIZE, iter_chunks
-from repro.errors import BackendError, BackendUnavailableError, \
-    FaultInjected
-from repro.resilience.breaker import BreakerPolicy, CircuitBreaker, \
-    HALF_OPEN
+from repro.algebra.expression import PSJQuery
+from repro.algebra.relation import Relation, Row
+from repro.backends.base import ExecutionBackend
+from repro.errors import BackendError, BackendUnavailableError, FaultInjected
+from repro.resilience.breaker import HALF_OPEN, BreakerPolicy, CircuitBreaker
 from repro.resilience.retry import RetryPolicy
 from repro.testing.faults import maybe_fault
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Deferred: repro.backends.base imports repro.core, whose engine
-    # imports this package; runtime code only needs the protocol's
-    # duck type, never the classes themselves.
-    from repro.algebra.expression import PSJQuery
-    from repro.algebra.relation import Relation, Row
-    from repro.backends.base import DeliveredRows, ExecutionBackend
-    from repro.core.compiled_mask import CompiledMask
-    from repro.core.mask import Mask
 
 #: Exception types a retry can plausibly outwait.  Anything else —
 #: validation errors, programming bugs — propagates immediately to the
@@ -68,16 +60,6 @@ class ExecutionOutcome:
     #: Why evaluation moved off the primary backend (None = it didn't).
     failover_reason: Optional[str]
     #: Tries at the primary backend (0 when skipped outright).
-    attempts: int
-
-
-@dataclass(frozen=True)
-class MaskedOutcome:
-    """The ``execute_masked`` analogue of :class:`ExecutionOutcome`."""
-
-    delivered: DeliveredRows
-    backend_used: str
-    failover_reason: Optional[str]
     attempts: int
 
 
@@ -139,7 +121,7 @@ class ResilientExecutor:
         self._sleep = sleep
 
     # ------------------------------------------------------------------
-    # the two protocol calls, wrapped
+    # the two backend calls, wrapped
     # ------------------------------------------------------------------
 
     def execute(self, plan: PSJQuery) -> ExecutionOutcome:
@@ -148,22 +130,6 @@ class ResilientExecutor:
             lambda backend: backend.execute(plan)
         )
         return ExecutionOutcome(answer, used, reason, attempts)
-
-    def execute_masked(
-        self,
-        plan: PSJQuery,
-        mask: Mask,
-        compiled: Optional[CompiledMask] = None,
-        drop_fully_masked: bool = False,
-    ) -> MaskedOutcome:
-        """Evaluate-and-mask ``plan``, failing over if needed."""
-        delivered, used, reason, attempts = self._run(
-            lambda backend: backend.execute_masked(
-                plan, mask, compiled=compiled,
-                drop_fully_masked=drop_fully_masked,
-            )
-        )
-        return MaskedOutcome(delivered, used, reason, attempts)
 
     def execute_stream(
         self,

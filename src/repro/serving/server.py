@@ -46,12 +46,12 @@ from repro.core.cache import CacheStats
 from repro.core.engine import AuthorizationEngine
 from repro.errors import ReproError, ServingError
 from repro.meta.catalog import PermissionCatalog
+from repro.resilience.breaker import OPEN
 from repro.serving.admission import (
     AdmissionController,
     AdmissionPolicy,
     AdmissionSnapshot,
 )
-from repro.resilience.breaker import OPEN
 from repro.serving.tenants import Tenant, TenantRegistry
 from repro.testing.faults import maybe_fault
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.algebra.database import Database, build_database
+from repro.algebra.database import build_database
 from repro.algebra.schema import make_schema
 from repro.algebra.types import INTEGER, STRING
 from repro.config import DEFAULT_CONFIG, EngineConfig

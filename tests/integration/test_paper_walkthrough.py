@@ -6,7 +6,6 @@ of the library would, and add cross-cutting assertions (sound deliveries
 against materialized views, permit statements, revocation effects).
 """
 
-import pytest
 
 from repro.baselines.oracle import materialize_view
 from repro.core.mask import MASKED

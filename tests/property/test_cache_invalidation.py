@@ -21,7 +21,8 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.engine import AuthorizationEngine

@@ -14,7 +14,8 @@ import os
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.calculus.ast import AttrRef, Condition, ConstTerm, Query
 from repro.calculus.to_algebra import compile_query

@@ -25,7 +25,8 @@ with ``authorize`` and the oracle lives in ``tests/test_stream.py``
 and ``tests/property/test_engine_properties.py``.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.columnar import iter_chunks
 from repro.algebra.database import build_database
@@ -49,7 +50,6 @@ from repro.core.compiled_mask import apply_mask_columnar, compile_mask
 from repro.lang.parser import parse_query
 from repro.predicates.comparators import Comparator
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
-
 from tests.property.test_compiled_mask import (
     MAX_EXAMPLES,
     SLOW,

@@ -15,7 +15,8 @@ The columnar data plane must change *nothing* observable:
   of the same mask over the same answer.
 """
 
-from hypothesis import given, strategies as st
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Column, Relation
@@ -32,7 +33,6 @@ from repro.predicates.comparators import Comparator
 from repro.predicates.intervals import Interval
 from repro.predicates.store import ConstraintStore
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
-
 from tests.property.test_compiled_mask import (
     SLOW,
     masks_and_answers,

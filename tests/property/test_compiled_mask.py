@@ -14,24 +14,21 @@ it delivered (chunk by chunk, in
 ``tests/property/test_chunked_apply.py``).  ``TestEndToEnd`` runs the same comparison through
 the engine: a mask that fails to compile is delivered by the
 interpreted fallback, and must deliver what the compiled one does.
-``TestSqlText`` pins the SQL the same lowering prints.  The check of
-every engine delivery mode against the oracle lives in
+The check of every engine delivery mode against the oracle lives in
 ``tests/property/test_engine_properties.py``.
 """
 
-import hashlib
 import os
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Column, Relation
-from repro.algebra.to_sql import masked_plan_to_sql
 from repro.algebra.types import INTEGER, REAL, STRING
-from repro.calculus.to_algebra import compile_query
 from repro.core.answer import DeliveryStats
 from repro.core.compiled_mask import apply_mask_columnar, compile_mask
 from repro.core.engine import AuthorizationEngine
@@ -221,8 +218,7 @@ x1, x2 = MetaCell.variable("x1", True), MetaCell.variable("x2", True)
 
 RELATION_ROWS = {
     # (a) every variable of the relation is bound by a cell: the
-    # relation lowers to a direct comparison of two columns, which the
-    # kernel and SQL evaluate alike.
+    # relation lowers to a direct comparison of two columns.
     "bound, no constants": (
         one_row_mask((x1, x2, MetaCell.blank(True)),
                      ConstraintStore.empty()
@@ -238,7 +234,7 @@ RELATION_ROWS = {
     ),
     # (b) the relation reaches x3, which no cell binds: the row keeps
     # its existential reading (x1 < x3 < 2 for some x3, i.e. x1 < 2)
-    # as a residual store check, which SQL cannot express.
+    # as a residual store check.
     "unbound, no constants": (
         one_row_mask((x1, MetaCell.blank(True), MetaCell.blank()),
                      ConstraintStore.empty()
@@ -270,25 +266,23 @@ class TestRelationRows:
         ) == expect
 
     @pytest.mark.parametrize("name", sorted(RELATION_ROWS))
-    def test_pushdown_iff_every_relation_is_bound(self, name):
-        mask, pushdown = RELATION_ROWS[name]
-        compiled = compile_mask(mask)
-        assert compiled.pushdown is pushdown
-        (row,) = compiled.rows
+    def test_residual_iff_some_relation_is_unbound(self, name):
+        mask, bound = RELATION_ROWS[name]
+        (row,) = compile_mask(mask).rows
         # A bound relation lowers to an order or <> comparison of two
         # columns; an unbound one stays in the residual store.
         relations = [
             check for check in row.checks
             if isinstance(check.rhs, Col) and check.op is not Comparator.EQ
         ]
-        if pushdown:
+        if bound:
             assert row.residual is None and relations
         else:
             assert row.residual is not None and not relations
 
     def test_checks_keep_the_printed_order(self):
         # Constant cells, then intervals, then relations: the order
-        # the SQL renderer prints them in.
+        # the module docstring of repro.core.compiled_mask lists.
         mask, _ = RELATION_ROWS["bound, with a constant"]
         (row,) = compile_mask(mask).rows
         assert row.checks == (
@@ -398,59 +392,3 @@ class TestEndToEnd:
                 assert [str(p) for p in fast.permits] \
                     == [str(p) for p in slow.permits]
                 assert fast.stats() == slow.stats()
-
-
-# ----------------------------------------------------------------------
-# the SQL the lowering prints
-# ----------------------------------------------------------------------
-
-#: SHA-256 prefixes of every ``masked_plan_to_sql`` text (both drop
-#: modes) over the masks the backend-parity suite derives from seeds
-#: 0–39: two statements per seed, each user's mask.  Recorded from the
-#: renderer that printed constant cells, equality groups, interval
-#: bounds and excluded points, and relations from separate per-kind
-#: fields; the shared lowering must print the very same text.
-SQL_DIGESTS = (
-    "db81493af4c9", "d4d2d9819897", "d71538cc2387", "8603b1b3f041",
-    "972dd7798d3f", "209f3d141ef3", "24efdcacad39", "b6f1bd0cddce",
-    "51bb67cf4fd4", "0e62c787acf7", "586cdb6d2214", "b34afc28dd12",
-    "2a01c74925fb", "d7df47e7467b", "6089cae0163d", "7eafccd1fb3d",
-    "74fc639a9072", "cf093f591c82", "d90988639590", "bc69c5f85e69",
-    "d4564cbebd70", "28f634a201d9", "d61c61be79e4", "f04670c415bc",
-    "953ecfc7d676", "e77e80e28407", "a2b6f80a4aaf", "7d940e76f528",
-    "e031a76b77b0", "c6d535fd73c0", "1210a3dc5eb4", "b0d879b0bb5c",
-    "c01f3b24c3a9", "3467cea5c59a", "bd9b925150d8", "57c4a54cff67",
-    "aa29babca1c8", "cc9278e5cbca", "cce47699a45a", "5408db647b80",
-)
-
-
-def masked_sql_texts(seed):
-    """Every masked statement the parity suite's seed ``seed`` yields."""
-    generator = WorkloadGenerator(seed)
-    spec = WorkloadSpec(seed=seed, relations=3, views=3, users=2,
-                        rows_per_relation=8)
-    workload = generator.workload(spec)
-    schema = workload.database.schema
-    engine = AuthorizationEngine(workload.database, workload.catalog)
-    texts = []
-    for _ in range(2):
-        query = generator.query(spec, schema)
-        plan = compile_query(query, schema)
-        for user in workload.users:
-            compiled = compile_mask(
-                Mask.from_table(engine.derive(user, query).mask))
-            if not compiled.pushdown:
-                texts.append("no pushdown")
-                continue
-            for drop in (False, True):
-                texts.append(masked_plan_to_sql(
-                    plan, schema, compiled, drop_fully_masked=drop))
-    return texts
-
-
-class TestSqlText:
-    @pytest.mark.parametrize("seed", range(len(SQL_DIGESTS)))
-    def test_masked_sql_text_is_unchanged(self, seed):
-        text = "\n".join(masked_sql_texts(seed))
-        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-        assert digest == SQL_DIGESTS[seed], text

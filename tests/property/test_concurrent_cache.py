@@ -20,7 +20,8 @@ import os
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import DerivationCache
 

@@ -6,7 +6,8 @@
 materialized extensions on random instances must be in subset relation.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.evaluate import evaluate_naive
 from repro.calculus.containment import is_contained_in

@@ -19,7 +19,8 @@ These are the heavyweight checks:
 * **ablation dominance** — disabling refinements never delivers more.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.evaluate import evaluate_naive
 from repro.algebra.optimize import evaluate_optimized

@@ -7,7 +7,8 @@ decision procedures are checked exhaustively against enumeration over a
 small integer universe.
 """
 
-from hypothesis import given, strategies as st
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.predicates.comparators import Comparator
 from repro.predicates.intervals import Interval

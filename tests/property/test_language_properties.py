@@ -1,10 +1,11 @@
 """Property tests: the surface language round-trips, and masks agree
 with per-row materialization."""
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.mask import MASKED, materialize_meta_tuple
 from repro.core.engine import AuthorizationEngine
+from repro.core.mask import MASKED, materialize_meta_tuple
 from repro.lang.parser import parse_statement
 from repro.lang.printer import format_statement
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec

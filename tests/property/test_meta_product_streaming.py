@@ -19,7 +19,8 @@ than a semantics change:
 
 import os
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.calculus.to_algebra import compile_query
 from repro.errors import BudgetExceededError

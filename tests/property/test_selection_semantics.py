@@ -17,7 +17,8 @@ random relations.
 
 import random
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Column, Relation

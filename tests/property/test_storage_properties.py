@@ -1,7 +1,8 @@
 # soundlint: disable-file=SL006 -- differential/property harness: direct evaluation is the oracle the masked path is compared against
 """Property tests: persistence round-trips on random workloads."""
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import storage
 from repro.core.engine import AuthorizationEngine

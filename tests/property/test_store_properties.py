@@ -9,7 +9,8 @@ bindings.
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.predicates.comparators import Comparator
 from repro.predicates.store import ConstraintStore

@@ -10,14 +10,14 @@ Invariants:
 * denied updates leave the database byte-identical.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.calculus.ast import AttrRef, Condition, ConstTerm
 from repro.core.engine import AuthorizationEngine
 from repro.core.mask import MASKED
 from repro.errors import AuthorizationError
 from repro.extensions.updates import UpdateAuthorizer
-from repro.meta.catalog import PermissionCatalog
 from repro.predicates.comparators import Comparator
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 

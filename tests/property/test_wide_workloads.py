@@ -7,7 +7,8 @@ exercising the n-ary padded product, deeper dangling pruning, and
 longer join chains — under the same soundness and agreement oracles.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.evaluate import evaluate_naive
 from repro.algebra.optimize import evaluate_optimized

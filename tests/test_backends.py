@@ -3,10 +3,9 @@
 
 The property suite (``tests/property/test_backend_parity.py``) covers
 parity in bulk; these tests pin the edges by hand: the factory, the
-SQL compiler's literals and self-join aliasing, mask-pushdown
-extractability boundaries, empty and all-covering masks, mutation
-sync, fail-closed behaviour at the ``backend.execute`` fault site,
-and the serving layer's per-tenant backend override.
+SQL compiler's literals and self-join aliasing, mutation sync,
+atomic bulk loads, fail-closed behaviour at the ``backend.execute``
+fault site, and the serving layer's per-tenant backend override.
 """
 
 from __future__ import annotations
@@ -23,14 +22,8 @@ from repro.algebra.expression import (
     Occurrence,
     PSJQuery,
 )
-from repro.algebra.relation import Column
 from repro.algebra.schema import make_schema
-from repro.algebra.to_sql import (
-    masked_plan_to_sql,
-    plan_to_sql,
-    sql_literal,
-    table_name,
-)
+from repro.algebra.to_sql import plan_to_sql, sql_literal, table_name
 from repro.algebra.types import INTEGER, STRING
 from repro.backends import (
     BACKEND_NAMES,
@@ -40,19 +33,13 @@ from repro.backends import (
     make_backend,
 )
 from repro.config import DEFAULT_CONFIG
-from repro.core.compiled_mask import compile_mask
 from repro.core.engine import AuthorizationEngine
-from repro.core.mask import MASKED, Mask
 from repro.errors import (
     BackendError,
     BackendUnavailableError,
     FaultInjected,
 )
-from repro.meta.cell import MetaCell
-from repro.meta.metatuple import MetaTuple
-from repro.metaalgebra.table import MaskRow
 from repro.predicates.comparators import Comparator
-from repro.predicates.store import ConstraintStore
 from repro.serving import AuthorizationServer, ServerConfig
 from repro.testing import faults
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
@@ -77,23 +64,6 @@ def emp_scan(output=(0, 1, 2), conditions=()):
     return PSJQuery(
         (Occurrence("EMP"),), tuple(conditions), tuple(output)
     )
-
-
-def mask_over(columns, rows):
-    return Mask(tuple(columns), tuple(rows))
-
-
-def int_columns(n):
-    return tuple(Column(f"C{i}", INTEGER) for i in range(n))
-
-
-def star_blank_row(arity):
-    meta = MetaTuple(
-        frozenset({"V"}),
-        tuple(MetaCell.blank(True) for _ in range(arity)),
-        frozenset(),
-    )
-    return MaskRow(meta, ConstraintStore.empty())
 
 
 class TestFactory:
@@ -166,14 +136,6 @@ class TestSqlCompiler:
         assert sorted(rows) == sorted(expected)
         assert len(rows) == len(expected) > 0
 
-    def test_mask_arity_mismatch_is_refused(self):
-        database = small_database()
-        compiled = compile_mask(mask_over(int_columns(3), ()))
-        assert compiled.pushdown
-        with pytest.raises(BackendError):
-            masked_plan_to_sql(emp_scan(output=(0,)), database.schema,
-                               compiled)
-
     def test_quoted_string_roundtrip(self):
         database = small_database()
         plan = emp_scan(
@@ -204,102 +166,6 @@ class TestSelfJoins:
         assert result == python.execute(plan)
         assert result.labels() == ("NAME:1", "NAME:2")
         assert ("amy", "cal") in result.rows
-
-
-class TestMaskPushdown:
-    def test_empty_mask_masks_everything(self):
-        database = small_database()
-        plan = emp_scan()
-        empty = mask_over(int_columns(3), ())
-        sqlite = SQLiteBackend(database)
-        delivered = sqlite.execute_masked(plan, empty)
-        assert delivered
-        assert all(
-            cell is MASKED for row in delivered for cell in row
-        )
-        assert sqlite.execute_masked(
-            plan, empty, drop_fully_masked=True
-        ) == ()
-
-    def test_covers_everything_fast_path(self):
-        database = small_database()
-        plan = emp_scan()
-        full = mask_over(int_columns(3), [star_blank_row(3)])
-        compiled = compile_mask(full)
-        assert compiled.pushdown and compiled.covers_all
-        python = PythonBackend(database)
-        sqlite = SQLiteBackend(database)
-        assert sorted(sqlite.execute_masked(plan, full), key=repr) \
-            == sorted(python.execute_masked(plan, full), key=repr)
-
-    def test_bound_variable_relation_is_extractable(self):
-        # x < y with both variables bound by cells: pure SQL.
-        meta = MetaTuple(
-            frozenset({"V"}),
-            (MetaCell.variable("x", True), MetaCell.variable("y", True)),
-            frozenset(),
-        )
-        store = ConstraintStore.empty().relate("x", Comparator.LT, "y")
-        mask = mask_over(int_columns(2), [MaskRow(meta, store)])
-        compiled = compile_mask(mask)
-        assert compiled.pushdown
-        assert compiled.rows[0].checks == (
-            AtomicCondition(Col(0), Comparator.LT, Col(1)),
-        )
-
-    def test_unbound_variable_relation_falls_back(self):
-        # x < z where z is bound by no cell keeps its existential
-        # reading: not expressible as positional checks.
-        meta = MetaTuple(
-            frozenset({"V"}),
-            (MetaCell.variable("x", True), MetaCell.blank(True)),
-            frozenset(),
-        )
-        store = ConstraintStore.empty().relate("x", Comparator.LT, "z")
-        mask = mask_over(int_columns(2), [MaskRow(meta, store)])
-        assert not compile_mask(mask).pushdown
-        # The fallback still delivers oracle-identical rows.
-        database = small_database()
-        plan = emp_scan(output=(2, 0))
-        salary_mask = mask_over(
-            (Column("SAL", INTEGER), Column("NAME", STRING)),
-            [MaskRow(meta, store)],
-        )
-        python = PythonBackend(database)
-        sqlite = SQLiteBackend(database)
-        for compiled in (None, compile_mask(salary_mask)):
-            assert sorted(
-                sqlite.execute_masked(plan, salary_mask, compiled),
-                key=repr,
-            ) == sorted(
-                python.execute_masked(plan, salary_mask, compiled),
-                key=repr,
-            )
-
-    def test_interval_and_ne_pushdown(self):
-        # 35 <= x, x != 45 — intervals with excluded points become
-        # bound plus <> conjuncts.
-        database = small_database()
-        plan = emp_scan(output=(2,))
-        meta = MetaTuple(
-            frozenset({"V"}), (MetaCell.variable("x", True),),
-            frozenset(),
-        )
-        store = ConstraintStore.empty() \
-            .constrain("x", Comparator.GE, 35) \
-            .constrain("x", Comparator.NE, 45)
-        mask = mask_over((Column("SAL", INTEGER),),
-                         [MaskRow(meta, store)])
-        assert compile_mask(mask).pushdown
-        python = PythonBackend(database)
-        sqlite = SQLiteBackend(database)
-        assert sorted(sqlite.execute_masked(plan, mask), key=repr) \
-            == sorted(python.execute_masked(plan, mask), key=repr)
-        visible = {
-            row[0] for row in sqlite.execute_masked(plan, mask)
-            if row[0] is not MASKED
-        }
-        assert visible == {39, 52}
 
 
 class TestMutationSync:

@@ -1,8 +1,6 @@
 """Unit tests for CLI persistence (.save/.load/.audit) and main()."""
 
-import io
 
-import pytest
 
 from repro.cli import Repl, main
 from repro.core.audit import AuditLog

@@ -1,7 +1,6 @@
 # soundlint: disable-file=SL006 -- exercises the algebra/evaluation layer directly, below the authorization boundary; nothing is user-delivered
 """Unit tests for conjunctive-query containment."""
 
-import pytest
 
 from repro.calculus.containment import are_equivalent, is_contained_in
 from repro.lang.parser import parse_query, parse_view

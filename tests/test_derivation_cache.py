@@ -17,7 +17,6 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.cache import DerivationCache
-from repro.core.engine import AuthorizationEngine
 from repro.workloads.scenarios import corporate_scenario, hospital_scenario
 
 CACHE_OFF = DEFAULT_CONFIG.but(derivation_cache_size=0)

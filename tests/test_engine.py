@@ -6,7 +6,6 @@ from repro.config import DEFAULT_CONFIG
 from repro.core.engine import AuthorizationEngine
 from repro.core.mask import MASKED
 from repro.errors import ParseError, UnknownViewError
-from repro.meta.catalog import PermissionCatalog
 from repro.workloads.paperdb import (
     EXAMPLE_1_QUERY,
     EXAMPLE_2_QUERY,
@@ -126,10 +125,10 @@ class TestSelfJoinCache:
         assert not answer.is_fully_delivered
 
     def test_masks_identical_with_and_without_cache(self, paper_engine):
-        from repro.experiments.tables import meta_tuple_cells
-        from repro.metaalgebra.plan import derive_mask
         from repro.calculus.to_algebra import compile_query
+        from repro.experiments.tables import meta_tuple_cells
         from repro.lang.parser import parse_query
+        from repro.metaalgebra.plan import derive_mask
 
         plan = compile_query(
             parse_query(EXAMPLE_3_QUERY), paper_engine.database.schema

@@ -26,7 +26,6 @@ from repro.core.engine import AuthorizationEngine
 from repro.errors import (
     BackendError,
     BackendUnavailableError,
-    FaultInjected,
 )
 from repro.resilience import (
     CLOSED,
@@ -97,17 +96,6 @@ class FlakyBackend:
             self.failures -= 1
             raise BackendError("scripted failure")
         return self.inner.execute(plan)
-
-    def execute_masked(self, plan, mask, compiled=None,
-                       drop_fully_masked=False):
-        self.calls += 1
-        if self.failures > 0:
-            self.failures -= 1
-            raise BackendError("scripted failure")
-        return self.inner.execute_masked(
-            plan, mask, compiled=compiled,
-            drop_fully_masked=drop_fully_masked,
-        )
 
 
 class TestRetryPolicy:
@@ -319,20 +307,6 @@ class TestResilientExecutor:
         with pytest.raises(BackendError):
             executor.execute(plan)
 
-    def test_masked_execution_fails_over_with_parity(self):
-        database = small_database()
-        engine = AuthorizationEngine(database)
-        engine.define_view("view V (EMP.NAME, EMP.DEPT)")
-        engine.permit("V", "u")
-        derivation = engine.derive("u", QUERY)
-        from repro.core.mask import Mask
-        mask = Mask.from_table(derivation.mask)
-        executor, flaky, _, plan, oracle = self.make(failures=99)
-        outcome = executor.execute_masked(plan, mask)
-        assert outcome.backend_used == "python"
-        assert sorted(outcome.delivered) \
-            == sorted(oracle.execute_masked(plan, mask))
-
     def test_standing_reason_pins_every_outcome(self):
         database = small_database()
         oracle = PythonBackend(database)
@@ -477,12 +451,6 @@ class TestBackendDisappearsMidFlight:
                 pass
 
             def execute(self, plan):
-                raise BackendUnavailableError(
-                    "duckdb", "driver disappeared after construction"
-                )
-
-            def execute_masked(self, plan, mask, compiled=None,
-                               drop_fully_masked=False):
                 raise BackendUnavailableError(
                     "duckdb", "driver disappeared after construction"
                 )

@@ -1,6 +1,5 @@
 """Unit tests for the extended meta-algebra operators (Definitions 1-3)."""
 
-import pytest
 
 from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Column

@@ -12,7 +12,6 @@ from repro.baselines.oracle import (
 )
 from repro.workloads.paperdb import (
     EXAMPLE_1_QUERY,
-    build_paper_catalog,
     build_paper_database,
 )
 

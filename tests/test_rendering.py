@@ -5,7 +5,6 @@ import pytest
 from repro.config import BASE_MODEL_CONFIG, DEFAULT_CONFIG, EngineConfig
 from repro.errors import (
     AuthorizationError,
-    DuplicateViewError,
     GrantError,
     ParseError,
     ReproError,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.core.engine import AuthorizationEngine
 from repro.core.audit import AuditLog
 from repro.core.mask import MASKED
 from repro.errors import (

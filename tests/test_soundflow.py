@@ -757,6 +757,39 @@ def test_seeded_unmasked_escape_is_caught(tmp_path: Path) -> None:
     assert "authorize" in violation.message
 
 
+def test_seeded_naive_evaluation_escape_is_caught(tmp_path: Path) -> None:
+    # The seeded defect: the engine delivers the reference evaluator's
+    # answer unmasked.  evaluate_naive reads the raw instances exactly
+    # as the backends do, so its output is raw data too.
+    files = dict(PLANE)
+    files["src/repro/algebra/__init__.py"] = ""
+    files["src/repro/algebra/evaluate.py"] = """
+        class Relation:
+            def __init__(self, rows: tuple) -> None:
+                self.rows = rows
+
+
+        def evaluate_naive(query: str, database: object) -> Relation:
+            return Relation(())
+    """
+    files["src/repro/core/engine.py"] = """
+        from repro.algebra.evaluate import evaluate_naive
+        from repro.core.answer import AuthorizedAnswer
+
+
+        def answer_naively(plan: str, database: object
+                           ) -> AuthorizedAnswer:
+            return AuthorizedAnswer(
+                delivered=evaluate_naive(plan, database).rows)
+    """
+    report = lint(make_tree(tmp_path, files), "src", select=["SL010"])
+    assert len(report.violations) == 1
+    violation = report.violations[0]
+    assert violation.rule == "SL010"
+    assert violation.path == "src/repro/core/engine.py"
+    assert "answer_naively" in violation.message
+
+
 def test_seeded_unguarded_write_is_caught(
         tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     _counter_registry(monkeypatch)
@@ -808,6 +841,20 @@ def test_live_tree_flow_passes_are_clean() -> None:
     )
     rendered = "\n".join(v.render() for v in report.violations)
     assert report.clean, f"flow violations in the live tree:\n{rendered}"
+
+
+def test_taint_registry_names_resolve() -> None:
+    # A registry name that matches nothing in the tree is silently
+    # inert: a source that no longer exists taints nothing.
+    graph = build_graph(build_context(REPO_ROOT))
+    stale = sorted(
+        name for name in registry.TAINT_SOURCES | registry.TAINT_SANITIZERS
+        if name not in graph.functions
+    ) + sorted(
+        name for name in registry.TAINT_SINKS
+        if name not in graph.classes and name not in graph.functions
+    )
+    assert stale == []
 
 
 def test_live_tree_taint_reaches_the_engine() -> None:

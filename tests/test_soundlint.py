@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.framework import Report, Violation, all_rules, run_paths
+from repro.analysis.framework import Report, all_rules, run_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

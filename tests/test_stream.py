@@ -36,7 +36,6 @@ from repro.workloads.paperdb import (
     EXAMPLE_3_QUERY,
     build_paper_engine,
 )
-
 from tests.property.test_compiled_mask import masks_never_compile
 
 EXAMPLES = (EXAMPLE_1_QUERY, EXAMPLE_2_QUERY, EXAMPLE_3_QUERY)

@@ -6,12 +6,10 @@ Section 6(3)-style reductions) and what it costs: a demonstrable
 non-interference violation — which is exactly why it is off by default.
 """
 
-import pytest
 
 from repro.baselines.oracle import check_non_interference
 from repro.config import DEFAULT_CONFIG
 from repro.core.engine import AuthorizationEngine
-from repro.core.mask import MASKED
 from repro.meta.catalog import PermissionCatalog
 from repro.workloads.paperdb import build_paper_database
 
