@@ -212,9 +212,7 @@ class _Matcher:
                 if wanted in self.q1.store.relations():
                     return True
             # Or implied by the two intervals.
-            return _intervals_imply(
-                self._q1_interval(lv), op, self._q1_interval(rv)
-            )
+            return self._q1_interval(lv).forces(op, self._q1_interval(rv))
         # Mixed var/const: decide through the interval.
         if lk == "var":
             return self._q1_interval(lv).is_subset(
@@ -225,24 +223,6 @@ class _Matcher:
                 Interval.from_comparison(op.flipped(), lv)
             )
         return False
-
-
-def _intervals_imply(a: Interval, op: Comparator, b: Interval) -> bool:
-    """Do the intervals force ``x op y`` for every x in a, y in b?"""
-    a, b = a.normalized(), b.normalized()
-    if op is Comparator.NE:
-        return a.is_disjoint(b)
-    if op in (Comparator.LT, Comparator.LE):
-        if a.hi is None or b.lo is None:
-            return False
-        if a.hi < b.lo:
-            return True
-        if a.hi == b.lo:
-            return op is Comparator.LE or a.hi_strict or b.lo_strict
-        return False
-    if op in (Comparator.GT, Comparator.GE):
-        return _intervals_imply(b, op.flipped(), a)
-    return False
 
 
 Expression = Union[Query, ViewDefinition, NormalizedView]

@@ -142,8 +142,10 @@ class NormalizedView:
                     representative[content.var] = position
 
         for var, rep in representative.items():
-            interval = self.store.interval_for(var).normalized()
-            conditions.extend(_interval_conditions(rep, interval))
+            conditions.extend(
+                AtomicCondition(Col(rep), op, Const(value))
+                for op, value in self.store.interval_for(var).comparisons()
+            )
         for relation in self.store.relations():
             if relation.left in representative and relation.right in representative:
                 conditions.append(AtomicCondition(
@@ -157,26 +159,6 @@ class NormalizedView:
             conditions=tuple(conditions),
             output=self.target_positions,
         )
-
-
-def _interval_conditions(position: int,
-                         interval: Interval) -> List[AtomicCondition]:
-    conditions: List[AtomicCondition] = []
-    if interval.is_point:
-        return [AtomicCondition(Col(position), Comparator.EQ,
-                                Const(interval.the_point()))]
-    if interval.lo is not None:
-        op = Comparator.GT if interval.lo_strict else Comparator.GE
-        conditions.append(AtomicCondition(Col(position), op,
-                                          Const(interval.lo)))
-    if interval.hi is not None:
-        op = Comparator.LT if interval.hi_strict else Comparator.LE
-        conditions.append(AtomicCondition(Col(position), op,
-                                          Const(interval.hi)))
-    for value in sorted(interval.excluded, key=repr):
-        conditions.append(AtomicCondition(Col(position), Comparator.NE,
-                                          Const(value)))
-    return conditions
 
 
 class _UnionFind:

@@ -13,7 +13,9 @@ budget restriction; (4) discard.
 The experiment checks the classifier directly *and* end to end through
 the engine: a user granted the 300k-600k view issues each probe query,
 and the resulting mask (and its inferred permit statement) must reflect
-the case.
+the case.  The meta-selection decides every one-column selection with
+the same ``classify``, so the classifier check tests the engine's own
+decision.
 """
 
 from __future__ import annotations

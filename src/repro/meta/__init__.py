@@ -15,7 +15,6 @@ from repro.meta.metatuple import (
     TupleId,
     blank_tuple,
     canonical_key,
-    dedupe,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "TupleId",
     "blank_tuple",
     "canonical_key",
-    "dedupe",
     "encode_view",
     "permit_clauses",
 ]

@@ -19,7 +19,7 @@ A :class:`MetaTuple` additionally carries:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.calculus.normalize import VarContent
 from repro.meta.cell import MetaCell
@@ -149,13 +149,15 @@ def canonical_key(
     """A structural key identifying a meta-tuple up to variable renaming.
 
     Variables are numbered by first appearance; each variable's interval
-    and (renamed) relations from ``store`` are folded in, so two rows
-    that differ only in variable names — the paper's "replications" —
-    share a key and can be removed.  View names are always part of the
-    key; set ``include_provenance`` for the stricter key used *before*
-    the dangling-reference pruning, where cell-identical rows with
-    different provenance must stay distinct (they prune differently —
-    Example 3's two ``EST, SAE`` combinations are the canonical case).
+    (its normal-form bounds and excluded points, not its ``discrete``
+    flag) and the (renamed) relations from ``store`` are folded in, so
+    two rows that differ only in variable names — the paper's
+    "replications" — share a key and can be removed.  View names are
+    always part of the key; set ``include_provenance`` for the stricter
+    key used *before* the dangling-reference pruning, where
+    cell-identical rows with different provenance must stay distinct
+    (they prune differently — Example 3's two ``EST, SAE``
+    combinations are the canonical case).
     """
     numbering: Dict[str, int] = {}
     cell_parts = []
@@ -173,11 +175,11 @@ def canonical_key(
     if store is not None:
         mapping = {var: f"@{i}" for var, i in numbering.items()}
         local = store.restrict_closure(set(numbering)).rename(mapping)
-        intervals = tuple(sorted(
-            (name, str(local.interval_for(name))) for name in mapping.values()
-        ))
-        relations = tuple(str(r) for r in local.relations())
-        constraint_parts = (intervals, relations)
+        intervals = tuple(
+            (iv.lo, iv.lo_strict, iv.hi, iv.hi_strict, iv.excluded)
+            for iv in map(local.interval_for, mapping.values())
+        )
+        constraint_parts = (intervals, local.relation_set)
 
     provenance_part: Tuple = ()
     if include_provenance:
@@ -190,15 +192,3 @@ def canonical_key(
         provenance_part,
     )
 
-
-def dedupe(rows: Iterable[Tuple[MetaTuple, ConstraintStore]]
-           ) -> Tuple[Tuple[MetaTuple, ConstraintStore], ...]:
-    """Remove replicated (tuple, store) rows, keeping first occurrences."""
-    seen = set()
-    out = []
-    for meta, store in rows:
-        key = canonical_key(meta, store)
-        if key not in seen:
-            seen.add(key)
-            out.append((meta, store))
-    return tuple(out)

@@ -133,14 +133,12 @@ def meta_product_streaming(
     padding: bool = True,
     budget: Optional[Budget] = None,
     excuse: Optional[ExcusePredicate] = None,
-    prune: bool = True,
 ) -> MaskTable:
     """The padded product with pruning and dedupe folded into the loop.
 
     Produces exactly
-    ``prune_dangling(meta_product(...), defining, excuse)`` (or plain
-    ``meta_product(...)`` with ``prune=False``) without ever
-    materializing the rows those stages would discard:
+    ``prune_dangling(meta_product(...), defining, excuse)`` without
+    ever materializing the rows those stages would discard:
 
     * operand meta-tuples that are exact duplicates within their
       operand are dropped up front — every combination they would
@@ -158,12 +156,9 @@ def meta_product_streaming(
         defining: the catalog's D(x) map for the admissible views.
         excuse: the existential-closure predicate (Section 4.1's
             pruning is unconditional when absent).
-        prune: fold the dangling check in; ``False`` streams only the
-            dedupe (used when the configuration disables pruning).
     """
     maybe_fault("product", budget)
-    if prune:
-        maybe_fault("prune")
+    maybe_fault("prune")
     if budget is not None:
         budget.check_deadline("product")
 
@@ -229,7 +224,7 @@ def meta_product_streaming(
         if key in seen_keys:
             continue
         seen_keys.add(key)
-        if prune and not is_closed(combined):
+        if not is_closed(combined):
             continue
         rows.append(MaskRow(combined, store))
         if budget is not None:

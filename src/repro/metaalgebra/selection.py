@@ -43,6 +43,7 @@ from repro.meta.cell import MetaCell
 from repro.metaalgebra.budget import Budget
 from repro.metaalgebra.table import MaskRow, MaskTable
 from repro.predicates.comparators import Comparator
+from repro.predicates.implication import SelectionCase, classify
 from repro.predicates.intervals import Interval
 from repro.predicates.store import ConstraintStore
 from repro.testing.faults import maybe_fault
@@ -242,24 +243,20 @@ class _Selector:
                 return None
             return self._conjoin_interval(row, index, mu, lam)
 
-        if mu.is_disjoint(lam):
+        case = classify(mu, lam)
+        if case is SelectionCase.DISCARD:
             return None
-        lam_implies_mu = lam.is_subset(mu)
-        mu_implies_lam = mu.is_subset(lam)
-
+        if case is SelectionCase.RETAIN:
+            return row
         if cell.starred:
-            if lam_implies_mu:
+            if case is SelectionCase.CLEAR:
                 return self._clear_cell(row, index)
-            if mu_implies_lam:
-                return row
             return self._conjoin_interval(row, index, mu, lam)
 
         # Unstarred component: only the provably sound outcomes.
-        if mu_implies_lam and lam_implies_mu:
-            return self._clear_cell(row, index)
-        if mu_implies_lam:
-            return row
-        if lam_implies_mu and not self.config.require_star_for_selection:
+        if case is SelectionCase.CLEAR and (
+                not self.config.require_star_for_selection
+                or mu.is_subset(lam)):
             return self._clear_cell(row, index)
         return None
 
@@ -454,31 +451,11 @@ class _Selector:
         if updates:
             meta = meta.replace_cells(updates)
 
-        if self.config.refine_selection and _store_implies(
-            store, left_var, op, right_var
-        ):
+        if self.config.refine_selection and store.interval_for(
+            left_var
+        ).forces(op, store.interval_for(right_var)):
             return MaskRow(row.meta, row.store)  # mu implies lambda: retain
 
         store = store.relate(left_var, op, right_var)
         return MaskRow(meta, store)
 
-
-def _store_implies(store: ConstraintStore, left: str, op: Comparator,
-                   right: str) -> bool:
-    """Conservatively decide whether the store implies ``left op right``."""
-    a = store.interval_for(left).normalized()
-    b = store.interval_for(right).normalized()
-    if op is Comparator.NE:
-        return a.is_disjoint(b)
-    if op in (Comparator.LT, Comparator.LE):
-        if a.hi is None or b.lo is None:
-            return False
-        if a.hi < b.lo:
-            return True
-        if a.hi == b.lo:
-            strict = a.hi_strict or b.lo_strict
-            return strict or op is Comparator.LE
-        return False
-    if op in (Comparator.GT, Comparator.GE):
-        return _store_implies(store, right, op.flipped(), left)
-    return False

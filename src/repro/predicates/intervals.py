@@ -32,6 +32,15 @@ class Interval:
     ``lo``/``hi`` of ``None`` mean unbounded on that side.  ``excluded``
     holds points removed by ``!=`` constraints.  ``discrete`` marks
     integer-like domains where strict bounds can be tightened.
+
+    Construction normalizes, so the fields always hold the normal form
+    and ``==`` and ``hash`` are semantic identity: ``x > 3`` over
+    integers is stored as ``x >= 4``.  A discrete interval's float
+    bounds first round inward to integers (``x > 1.5`` and ``x > 1.0``
+    both become ``x >= 2``); then strict integer bounds tighten, an
+    excluded point equal to a closed endpoint turns that bound strict
+    (tightening again when discrete), and excluded points outside the
+    bounds are dropped.
     """
 
     lo: Optional[Value] = None
@@ -40,6 +49,46 @@ class Interval:
     hi_strict: bool = False
     excluded: FrozenSet[Value] = field(default_factory=frozenset)
     discrete: bool = False
+
+    def __post_init__(self) -> None:
+        lo, lo_strict = self.lo, self.lo_strict
+        hi, hi_strict = self.hi, self.hi_strict
+        if lo is None and hi is None:
+            return
+        if self.discrete and (isinstance(lo, float)
+                              or isinstance(hi, float)):
+            lo, lo_strict = _inward(lo, lo_strict, math.ceil)
+            hi, hi_strict = _inward(hi, hi_strict, math.floor)
+        excluded = set(self.excluded)
+
+        changed = True
+        while changed:
+            changed = False
+            if self.discrete and lo is not None and lo_strict \
+                    and isinstance(lo, int):
+                lo, lo_strict = lo + 1, False
+                changed = True
+            if self.discrete and hi is not None and hi_strict \
+                    and isinstance(hi, int):
+                hi, hi_strict = hi - 1, False
+                changed = True
+            if lo is not None and not lo_strict and lo in excluded:
+                excluded.discard(lo)
+                lo_strict = True
+                changed = True
+            if hi is not None and not hi_strict and hi in excluded:
+                excluded.discard(hi)
+                hi_strict = True
+                changed = True
+
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "lo_strict", lo_strict)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "hi_strict", hi_strict)
+        object.__setattr__(self, "excluded", frozenset(
+            v for v in excluded
+            if _within(v, lo, lo_strict, hi, hi_strict)
+        ))
 
     # ------------------------------------------------------------------
     # constructors
@@ -74,56 +123,6 @@ class Interval:
         raise TypeMismatchError(f"unsupported comparator {op}")
 
     # ------------------------------------------------------------------
-    # normalization
-    # ------------------------------------------------------------------
-
-    def normalized(self) -> "Interval":
-        """Tighten strict integer bounds and absorb excluded endpoints.
-
-        ``x > 3`` over integers becomes ``x >= 4``; an excluded point
-        equal to a closed endpoint turns the bound strict (then
-        tightens again when discrete).  A discrete interval's float
-        bounds first round inward to integers — ``x > 1.5`` becomes
-        ``x >= 2`` and ``x > 1.0`` becomes ``x > 1``, then ``x >= 2`` —
-        so a store's satisfiability reads the same whether a bound was
-        written as an int or a float.
-        """
-        lo, lo_strict = self.lo, self.lo_strict
-        hi, hi_strict = self.hi, self.hi_strict
-        if self.discrete and (isinstance(lo, float)
-                              or isinstance(hi, float)):
-            lo, lo_strict = _inward(lo, lo_strict, math.ceil)
-            hi, hi_strict = _inward(hi, hi_strict, math.floor)
-        excluded = set(self.excluded)
-
-        changed = True
-        while changed:
-            changed = False
-            if self.discrete and lo is not None and lo_strict \
-                    and isinstance(lo, int):
-                lo, lo_strict = lo + 1, False
-                changed = True
-            if self.discrete and hi is not None and hi_strict \
-                    and isinstance(hi, int):
-                hi, hi_strict = hi - 1, False
-                changed = True
-            if lo is not None and not lo_strict and lo in excluded:
-                excluded.discard(lo)
-                lo_strict = True
-                changed = True
-            if hi is not None and not hi_strict and hi in excluded:
-                excluded.discard(hi)
-                hi_strict = True
-                changed = True
-
-        # Drop excluded points that fall outside the bounds anyway.
-        kept = frozenset(
-            v for v in excluded
-            if _within(v, lo, lo_strict, hi, hi_strict)
-        )
-        return Interval(lo, lo_strict, hi, hi_strict, kept, self.discrete)
-
-    # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
 
@@ -139,7 +138,7 @@ class Interval:
             lo, lo_strict, hi, hi_strict,
             self.excluded | other.excluded,
             self.discrete or other.discrete,
-        ).normalized()
+        )
 
     # ------------------------------------------------------------------
     # decision procedures (conservative)
@@ -147,61 +146,60 @@ class Interval:
 
     def contains(self, value: Value) -> bool:
         """Membership test for a concrete value."""
-        norm = self.normalized()
         return (
-            _within(value, norm.lo, norm.lo_strict, norm.hi, norm.hi_strict)
-            and value not in norm.excluded
+            _within(value, self.lo, self.lo_strict, self.hi, self.hi_strict)
+            and value not in self.excluded
         )
 
     def comparisons(self) -> Tuple[Tuple[Comparator, Value], ...]:
         """The interval as a conjunction of comparisons ``x op value``.
 
-        The normalized lower bound, then the upper bound, then one
-        ``!=`` per excluded point in ``repr`` order; empty for
-        ``true``.  A value lies in the interval exactly when every
-        comparison holds (``tests/property/test_columnar_relation.py``
-        pins this to :meth:`contains`).  The compiled mask kernel and
-        its SQL rendering both read this lowering.
+        ``((=, v),)`` for a point; otherwise the lower bound, then the
+        upper bound, then one ``!=`` per excluded point in ``repr``
+        order; empty for ``true``.  A value lies in the interval exactly
+        when every comparison holds
+        (``tests/property/test_columnar_relation.py`` pins this to
+        :meth:`contains`).  The compiled mask kernel, view
+        materialization plans and :meth:`describe` all read this
+        lowering.
         """
-        norm = self.normalized()
+        if self.is_point:
+            return ((Comparator.EQ, self.the_point()),)
         out: List[Tuple[Comparator, Value]] = []
-        if norm.lo is not None:
-            out.append((Comparator.GT if norm.lo_strict else Comparator.GE,
-                        norm.lo))
-        if norm.hi is not None:
-            out.append((Comparator.LT if norm.hi_strict else Comparator.LE,
-                        norm.hi))
+        if self.lo is not None:
+            out.append((Comparator.GT if self.lo_strict else Comparator.GE,
+                        self.lo))
+        if self.hi is not None:
+            out.append((Comparator.LT if self.hi_strict else Comparator.LE,
+                        self.hi))
         out.extend((Comparator.NE, value)
-                   for value in sorted(norm.excluded, key=repr))
+                   for value in sorted(self.excluded, key=repr))
         return tuple(out)
 
     @property
     def is_point(self) -> bool:
         """True when the interval pins exactly one value."""
-        norm = self.normalized()
         return (
-            norm.lo is not None
-            and norm.lo == norm.hi
-            and not norm.lo_strict
-            and not norm.hi_strict
+            self.lo is not None
+            and self.lo == self.hi
+            and not self.lo_strict
+            and not self.hi_strict
         )
 
     def the_point(self) -> Value:
         """The single value of a point interval."""
-        point = self.normalized().lo
-        if point is None or not self.is_point:
+        if self.lo is None or not self.is_point:
             raise ValueError(f"{self!r} is not a point interval")
-        return point
+        return self.lo
 
     def is_empty(self) -> bool:
         """Provable emptiness (the predicate is unsatisfiable)."""
-        norm = self.normalized()
-        if norm.lo is None or norm.hi is None:
+        if self.lo is None or self.hi is None:
             return False
-        if norm.lo > norm.hi:
+        if self.lo > self.hi:
             return True
-        if norm.lo == norm.hi:
-            return norm.lo_strict or norm.hi_strict
+        if self.lo == self.hi:
+            return self.lo_strict or self.hi_strict
         return False
 
     @property
@@ -218,22 +216,36 @@ class Interval:
         """
         if self.is_empty():
             return True
-        a, b = self.normalized(), other.normalized()
-        if not _lo_at_least(a, b) or not _hi_at_most(a, b):
+        if not _lo_at_least(self, other) or not _hi_at_most(self, other):
             return False
-        # Every point b excludes must also be outside a.
-        return all(not a.contains(v) for v in b.excluded)
+        # Every point other excludes must also be outside self.
+        return all(not self.contains(v) for v in other.excluded)
 
     def is_disjoint(self, other: "Interval") -> bool:
         """Provable contradiction of the two predicates."""
         if self.is_empty() or other.is_empty():
             return True
-        a, b = self.normalized(), other.normalized()
-        if a.is_point:
-            return not b.contains(a.the_point())
-        if b.is_point:
-            return not a.contains(b.the_point())
+        if self.is_point:
+            return not other.contains(self.the_point())
+        if other.is_point:
+            return not self.contains(other.the_point())
         return self.intersect(other).is_empty()
+
+    def forces(self, op: Comparator, other: "Interval") -> bool:
+        """Provable order: ``x op y`` for every x in self, y in other.
+
+        Conservative, and ``=`` is never forced.
+        """
+        if op is Comparator.NE:
+            return self.is_disjoint(other)
+        if op in (Comparator.GT, Comparator.GE):
+            return other.forces(op.flipped(), self)
+        if op is Comparator.EQ or self.hi is None or other.lo is None:
+            return False
+        if self.hi < other.lo:
+            return True
+        return self.hi == other.lo and (
+            op is Comparator.LE or self.hi_strict or other.lo_strict)
 
     # ------------------------------------------------------------------
     # rendering
@@ -244,8 +256,6 @@ class Interval:
 
         Returns a tuple of clause strings, empty for ``true``.
         """
-        if self.is_point:
-            return (f"{subject} = {_fmt(self.the_point())}",)
         return tuple(f"{subject} {op} {_fmt(value)}"
                      for op, value in self.comparisons())
 

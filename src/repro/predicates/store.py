@@ -83,7 +83,10 @@ class ConstraintStore:
         self._intervals: Dict[str, Interval] = {
             var: iv for var, iv in (intervals or {}).items() if not iv.is_top
         }
-        self._relations: FrozenSet[VarRelation] = frozenset(relations)
+        # Most stores relate no variables; they share one empty set,
+        # which canonical keys then hold by reference.
+        self._relations: FrozenSet[VarRelation] = \
+            frozenset(relations) or _NO_RELATIONS
 
     # ------------------------------------------------------------------
     # constructors / accessors
@@ -105,6 +108,11 @@ class ConstraintStore:
 
     def relations(self) -> Tuple[VarRelation, ...]:
         return tuple(sorted(self._relations, key=str))
+
+    @property
+    def relation_set(self) -> FrozenSet[VarRelation]:
+        """The variable-to-variable relations, unordered."""
+        return self._relations
 
     def mentioned_vars(self) -> FrozenSet[str]:
         """Every variable the store constrains."""
@@ -358,6 +366,7 @@ class ConstraintStore:
         return "ConstraintStore(" + "; ".join(parts) + ")"
 
 
+_NO_RELATIONS: FrozenSet[VarRelation] = frozenset()
 _EMPTY = ConstraintStore()
 #: An interval that is provably empty, used to poison contradictions.
 _IMPOSSIBLE = Interval(lo=1, hi=0)

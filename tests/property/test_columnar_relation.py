@@ -93,14 +93,18 @@ class TestIntervalLowering:
             discrete=discrete,
         )
         comparisons = interval.comparisons()
-        # At most one lower and one upper bound, in that order, then
-        # the excluded points as != comparisons.
+        # A point is one = comparison.  Otherwise at most one lower and
+        # one upper bound, in that order, then the excluded points as
+        # != comparisons.
         ops = [op for op, _ in comparisons]
         lower = [op for op in ops if op in (Comparator.GT, Comparator.GE)]
         upper = [op for op in ops if op in (Comparator.LT, Comparator.LE)]
-        assert len(lower) <= 1 and len(upper) <= 1
-        assert ops == lower + upper + [Comparator.NE] * (
-            len(ops) - len(lower) - len(upper))
+        if interval.is_point:
+            assert comparisons == ((Comparator.EQ, interval.the_point()),)
+        else:
+            assert len(lower) <= 1 and len(upper) <= 1
+            assert ops == lower + upper + [Comparator.NE] * (
+                len(ops) - len(lower) - len(upper))
         for probe in data.draw(st.lists(values, min_size=1, max_size=5)):
             assert all(op.function(probe, value)
                        for op, value in comparisons) \

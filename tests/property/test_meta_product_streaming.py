@@ -63,12 +63,10 @@ def product_inputs(seed):
 
 
 def reference(columns, operands, arities, store, defining,
-              padding, excuse, prune):
+              padding, excuse):
     table = meta_product(columns, operands, arities, store,
                          padding=padding)
-    if prune:
-        table = prune_dangling(table, defining, excuse)
-    return table
+    return prune_dangling(table, defining, excuse)
 
 
 class TestRowIdentity:
@@ -78,22 +76,9 @@ class TestRowIdentity:
         columns, operands, arities, store, defining, *_ = \
             product_inputs(seed)
         want = reference(columns, operands, arities, store, defining,
-                         padding, None, True)
+                         padding, None)
         got = meta_product_streaming(
             columns, operands, arities, store, defining, padding=padding
-        )
-        assert got.rows == want.rows, f"seed={seed} padding={padding}"
-
-    @SLOW
-    @given(seeds, st.booleans())
-    def test_prune_disabled_still_dedupes_identically(self, seed, padding):
-        columns, operands, arities, store, defining, *_ = \
-            product_inputs(seed)
-        want = reference(columns, operands, arities, store, defining,
-                         padding, None, False)
-        got = meta_product_streaming(
-            columns, operands, arities, store, defining, padding=padding,
-            prune=False,
         )
         assert got.rows == want.rows, f"seed={seed} padding={padding}"
 
@@ -109,7 +94,7 @@ class TestRowIdentity:
             return (len(meta.variables()) + len(tuple_id) + salt) % 2 == 0
 
         want = reference(columns, operands, arities, store, defining,
-                         True, excuse, True)
+                         True, excuse)
         got = meta_product_streaming(
             columns, operands, arities, store, defining, excuse=excuse
         )

@@ -40,26 +40,39 @@ class TestConstruction:
 
 class TestNormalization:
     def test_discrete_strict_bounds_tighten(self):
-        interval = Interval(lo=3, lo_strict=True, discrete=True).normalized()
+        interval = Interval(lo=3, lo_strict=True, discrete=True)
         assert interval.lo == 4 and not interval.lo_strict
 
     def test_dense_strict_bounds_kept(self):
-        interval = Interval(lo=3.0, lo_strict=True).normalized()
+        interval = Interval(lo=3.0, lo_strict=True)
         assert interval.lo == 3.0 and interval.lo_strict
 
     def test_excluded_endpoint_absorbs(self):
-        interval = Interval(
-            lo=3, hi=10, excluded=frozenset([3])
-        ).normalized()
+        interval = Interval(lo=3, hi=10, excluded=frozenset([3]))
+        assert interval.lo == 3 and interval.lo_strict
+        assert 3 not in interval.excluded  # folded into the bound
         assert not interval.contains(3)
         assert interval.contains(4)
-        assert 3 not in interval.excluded  # folded into the bound
 
     def test_irrelevant_exclusions_dropped(self):
-        interval = Interval(
-            lo=0, hi=5, excluded=frozenset([99])
-        ).normalized()
+        interval = Interval(lo=0, hi=5, excluded=frozenset([99]))
         assert interval.excluded == frozenset()
+
+    def test_equal_sets_build_equal_intervals(self):
+        groups = (
+            (Interval(lo=3, lo_strict=True, discrete=True),
+             Interval(lo=4, discrete=True)),
+            # A discrete interval's float bounds round inward.
+            (Interval(lo=1.5, lo_strict=True, discrete=True),
+             Interval(lo=1.0, lo_strict=True, discrete=True),
+             Interval(lo=2, discrete=True)),
+            (Interval(lo=3.0, hi=9.0, excluded=frozenset({3.0, 99.0})),
+             Interval(lo=3.0, lo_strict=True, hi=9.0)),
+        )
+        for first, *rest in groups:
+            for other in rest:
+                assert other == first
+                assert hash(other) == hash(first)
 
 
 class TestEmptiness:

@@ -1,12 +1,10 @@
 """Unit tests for meta-cells and meta-tuples."""
 
+from repro.algebra.relation import Column
+from repro.algebra.types import STRING
 from repro.meta.cell import MetaCell
-from repro.meta.metatuple import (
-    MetaTuple,
-    blank_tuple,
-    canonical_key,
-    dedupe,
-)
+from repro.meta.metatuple import MetaTuple, blank_tuple, canonical_key
+from repro.metaalgebra.table import MaskRow, MaskTable
 from repro.predicates.comparators import Comparator
 from repro.predicates.store import ConstraintStore
 
@@ -141,10 +139,31 @@ class TestCanonicalKey:
         assert canonical_key(a, include_provenance=True) != \
             canonical_key(b, include_provenance=True)
 
+    def test_normal_form_bounds_share_a_key(self):
+        tuple_ = mt(MetaCell.variable("x1"))
+        above_3 = ConstraintStore.empty().constrain(
+            "x1", Comparator.GT, 3, discrete=True)
+        from_4 = ConstraintStore.empty().constrain(
+            "x1", Comparator.GE, 4, discrete=True)
+        assert canonical_key(tuple_, above_3) == \
+            canonical_key(tuple_, from_4)
+
+    def test_discrete_flag_not_in_key(self):
+        tuple_ = mt(MetaCell.variable("x1"))
+        discrete = ConstraintStore.empty().constrain(
+            "x1", Comparator.GE, 4, discrete=True)
+        dense = ConstraintStore.empty().constrain("x1", Comparator.GE, 4)
+        assert canonical_key(tuple_, discrete) == \
+            canonical_key(tuple_, dense)
+
     def test_dedupe(self):
         store = ConstraintStore.empty()
         a = mt(MetaCell.variable("x1"), MetaCell.variable("x1"))
         b = mt(MetaCell.variable("x2"), MetaCell.variable("x2"))
         c = mt(MetaCell.variable("x1"), MetaCell.variable("x2"))
-        kept = dedupe([(a, store), (b, store), (c, store)])
+        table = MaskTable(
+            (Column("A", STRING), Column("B", STRING)),
+            (MaskRow(a, store), MaskRow(b, store), MaskRow(c, store)),
+        )
+        kept = table.deduped()
         assert len(kept) == 2

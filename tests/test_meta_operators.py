@@ -9,9 +9,10 @@ from repro.meta.cell import MetaCell
 from repro.meta.metatuple import MetaTuple
 from repro.metaalgebra.product import meta_product
 from repro.metaalgebra.projection import meta_project
-from repro.metaalgebra.selection import meta_select
+from repro.metaalgebra.selection import group_conditions, meta_select
 from repro.metaalgebra.table import MaskRow, MaskTable
 from repro.predicates.comparators import Comparator
+from repro.predicates.intervals import Interval
 from repro.predicates.store import ConstraintStore
 
 
@@ -429,6 +430,64 @@ class TestMetaSelectionRefined:
             different, AtomicCondition(Col(0), Comparator.EQ, Col(1)),
             DEFAULT_CONFIG,
         ).cardinality == 0
+
+    def test_interval_decision_table(self):
+        # E6's stored view (budgets 300,000-600,000) probed with one
+        # lambda per Section 4.2 case, plus lambda equivalent to mu.
+        mu = Interval(lo=300_000, hi=600_000, discrete=True)
+        row = MaskRow(
+            tup(MetaCell.blank(True), MetaCell.variable("x1", True)),
+            ConstraintStore({"x1": mu}),
+        )
+        # Outcomes for (starred, require star), (starred, no require),
+        # (unstarred, require star), (unstarred, no require).
+        expected = {
+            (200_000, 400_000): ("conjoined", "conjoined",
+                                 "dropped", "dropped"),
+            (200_000, 700_000): ("unchanged", "unchanged",
+                                 "unchanged", "unchanged"),
+            (400_000, 500_000): ("cleared", "cleared",
+                                 "dropped", "cleared"),
+            (None, 299_999): ("dropped", "dropped", "dropped", "dropped"),
+            (300_000, 600_000): ("cleared", "cleared",
+                                 "cleared", "cleared"),
+        }
+        observed = {}
+        for lo, hi in expected:
+            conditions = [
+                AtomicCondition(Col(1), op, Const(bound))
+                for op, bound in ((Comparator.GE, lo), (Comparator.LE, hi))
+                if bound is not None
+            ]
+            (step,) = group_conditions(conditions, (False, True))
+            outcomes = []
+            for starred in (True, False):
+                probed = MaskRow(row.meta.replace_cell(
+                    1, MetaCell.variable("x1", starred)), row.store)
+                for require_star in (True, False):
+                    config = DEFAULT_CONFIG.but(
+                        require_star_for_selection=require_star)
+                    out = meta_select(
+                        MaskTable(MIXED, (probed,)), step, config)
+                    outcomes.append(
+                        _outcome(out, probed, mu.intersect(step.interval)))
+            observed[lo, hi] = tuple(outcomes)
+        assert observed == expected
+
+
+def _outcome(out, row, conjoined):
+    """How one selection step treated the single ``row``."""
+    if out.cardinality == 0:
+        return "dropped"
+    (got,) = out.rows
+    if got == row:
+        return "unchanged"
+    cleared = row.meta.replace_cell(1, row.meta.cells[1].cleared())
+    if got.meta == cleared and got.store == row.store:
+        return "cleared"
+    if got.meta == row.meta and got.store.interval_for("x1") == conjoined:
+        return "conjoined"
+    return f"unexpected {got.meta} {got.store!r}"
 
 
 class TestMetaProjection:
