@@ -85,9 +85,8 @@ DETERMINISTIC_MODULES: FrozenSet[str] = frozenset({
     # Definition serials are part of every cache key: a counter, never
     # an id() or a clock.
     "repro.meta.catalog",
-    # Resilience policy must be replayable: retry schedules hash their
-    # seed instead of sampling, and the breaker's clock is injected.
-    "repro.resilience.retry",
+    # Resilience policy must be replayable: the breaker's clock is
+    # injected.
     "repro.resilience.breaker",
 })
 

@@ -70,13 +70,10 @@ class EngineConfig:
         derivation_deadline_ms: budget — wall-time limit per derivation
             attempt (0 = no deadline).  Each ladder rung gets a fresh
             deadline, so the worst case is ``rungs * deadline``.
-        degradation_ladder: on budget exhaustion or internal failure,
-            re-derive at progressively cheaper rungs (full refinements
-            → no self-joins → no padding → base model → empty mask)
-            instead of failing; each rung provably delivers a subset of
-            the rung above.  When False, a budgeted derivation that
-            exhausts its budget goes straight to the empty mask (or
-            raises, in dev mode).
+            Exhausting any budget re-derives at the next cheaper rung
+            (full refinements → no self-joins → no padding → base
+            model → empty mask), each tried once and each provably
+            delivering a subset of the rung above.
         fail_closed: catch any internal error past parsing/validation
             inside ``authorize``/``authorize_batch`` and return the
             empty-mask answer (with ``AuthorizedAnswer.error`` set)
@@ -103,12 +100,8 @@ class EngineConfig:
             :class:`~repro.errors.BackendUnavailableError`.  See
             ``repro.resilience`` and ``docs/RESILIENCE.md``.
         backend_retry_attempts: total tries per backend call before
-            failover (>= 1; 1 disables retry).
-        backend_retry_base_ms: backoff before the second try, doubling
-            each further try (0 = immediate retries, the deterministic
-            default).
-        backend_retry_jitter_ms: width of the deterministic (seeded,
-            hash-based) jitter added to each backoff.
+            failover (>= 1; 1 disables retry).  A retry follows the
+            failed try at once, with no backoff.
         breaker_failure_threshold: consecutive backend failures that
             open this engine's circuit breaker (each tenant engine has
             its own breaker, so one tenant's flaky store never opens
@@ -137,13 +130,10 @@ class EngineConfig:
     max_mask_rows: int = 0
     max_selfjoin_pool: int = 0
     derivation_deadline_ms: float = 0.0
-    degradation_ladder: bool = True
     fail_closed: bool = True
     backend: str = "python"
     backend_failover: bool = True
     backend_retry_attempts: int = 2
-    backend_retry_base_ms: float = 0.0
-    backend_retry_jitter_ms: float = 0.0
     breaker_failure_threshold: int = 5
     breaker_recovery_ms: float = 1000.0
     stream_chunk_size: int = 8192

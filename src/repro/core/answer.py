@@ -46,6 +46,8 @@ class DeliveryStats:
 
         A row is full with no ``MASKED`` cell, masked when every cell
         is ``MASKED`` (a zero-width row counts as full), else partial.
+        The oracle of the masking kernel's lane tally; the engine
+        itself calls it only for a denial's empty delivery.
         """
         delivered_cells = full_rows = partial_rows = masked_rows = 0
         for row in rows:
@@ -91,9 +93,7 @@ class AuthorizedAnswer:
     permits: Tuple[InferredPermit, ...]
     derivation: MaskDerivation
     #: Statistics of ``delivered``, from the engine's mask-and-tally
-    #: step: the masking kernel's lane counts, or ``DeliveryStats.of``
-    #: over what the interpreted fallback delivered; all zero on a
-    #: denial.
+    #: step: the masking kernel's lane counts; all zero on a denial.
     tally: DeliveryStats
     #: Whether the mask derivation was served from the engine's
     #: derivation cache (the answer itself is always evaluated fresh).

@@ -12,13 +12,17 @@ All four entry points — ``authorize``, ``authorize_batch``,
 ``authorize_degraded`` and ``authorize_stream`` — run one pipeline:
 
 * one *establishment* step (:meth:`AuthorizationEngine._establish`)
-  takes the snapshot of the user's admissible views, derives the mask,
-  denies on an empty rung, and builds the mask, its compiled form and
-  the inferred permits, all before any evaluation;
+  denies an EMPTY ladder floor outright; otherwise it takes the
+  snapshot of the user's admissible views, derives the mask (walking
+  the degradation ladder once, from the request's floor down), denies
+  on an empty rung, and builds the mask, its compiled form and the
+  inferred permits, all before any evaluation;
 * one *mask-and-tally* step (:meth:`AuthorizationEngine._mask`) masks
-  a whole answer or one streamed chunk — with the columnar kernel, or
-  the interpreted ``Mask.apply`` when compilation failed — and returns
-  its :class:`~repro.core.answer.DeliveryStats`;
+  a whole answer or one streamed chunk with the compiled columnar
+  kernel and returns its :class:`~repro.core.answer.DeliveryStats`
+  (a mask that fails to compile fails the request closed, like any
+  other internal failure; ``Mask.apply`` is only the oracle the kernel
+  is checked against);
 * one audit-record builder (:class:`~repro.core.audit.AuditLog`) for
   both answer types.
 
@@ -61,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.algebra.database import Database
 from repro.algebra.expression import PSJQuery
-from repro.algebra.relation import Column, Relation, Row
+from repro.algebra.relation import Relation, Row
 from repro.backends import BACKEND_NAMES, make_backend
 from repro.calculus.ast import Query, ViewDefinition
 from repro.calculus.to_algebra import compile_query
@@ -94,7 +98,6 @@ from repro.metaalgebra.ladder import (
     EMPTY_LEVEL,
     derive_mask_resilient,
     empty_derivation,
-    rung_config,
 )
 from repro.metaalgebra.plan import MaskDerivation
 # Not called here (derive_mask computes the closure); kept bound so
@@ -106,7 +109,6 @@ from repro.resilience.failover import (
     ResilientExecutor,
     StreamOutcome,
 )
-from repro.resilience.retry import RetryPolicy
 from repro.testing.faults import maybe_fault
 
 
@@ -121,8 +123,8 @@ class Decision:
 
     derivation: MaskDerivation
     mask: Mask
-    #: The columnar kernel's form of ``mask``; ``None`` when
-    #: compilation failed, and masking falls back to ``Mask.apply``.
+    #: The columnar kernel's form of ``mask``; ``None`` on a denial,
+    #: which evaluates nothing to mask.
     compiled: Optional[CompiledMask]
     permits: Tuple[InferredPermit, ...]
     cache_hit: bool
@@ -178,11 +180,7 @@ class AuthorizationEngine:
         self.executor = ResilientExecutor(
             primary=self.backend,
             oracle=oracle,
-            retry=RetryPolicy(
-                attempts=config.backend_retry_attempts,
-                base_delay_ms=config.backend_retry_base_ms,
-                jitter_ms=config.backend_retry_jitter_ms,
-            ),
+            attempts=config.backend_retry_attempts,
             breaker_policy=BreakerPolicy(
                 failure_threshold=config.breaker_failure_threshold,
                 recovery_ms=config.breaker_recovery_ms,
@@ -198,16 +196,15 @@ class AuthorizationEngine:
         self._derivation_cache = DerivationCache(
             config.derivation_cache_size
         )
-        # Compiled plans and canonical keys are pure functions of the
+        # A query's plan and canonical key are pure functions of the
         # (immutable) schema, so they are memoized unconditionally;
         # repeated statements skip the compiler entirely.  The memo
         # lock makes LRU bookkeeping safe under concurrent authorize
         # calls from serving worker threads.
         self._memo_lock = threading.RLock()
-        self._plan_cache: "OrderedDict[Query, PSJQuery]" = OrderedDict()
-        self._plan_key_cache: "OrderedDict[PSJQuery, PlanKey]" = \
+        self._plans: "OrderedDict[Query, Tuple[PSJQuery, PlanKey]]" = \
             OrderedDict()
-        self._plan_cache_capacity = max(
+        self._plans_capacity = max(
             512, 4 * max(config.derivation_cache_size, 0)
         )
 
@@ -281,16 +278,19 @@ class AuthorizationEngine:
         Under overload a server trades fidelity for latency instead of
         queueing unboundedly: the mask is derived with the (cheaper)
         configuration of rung ``floor`` (see
-        :func:`repro.metaalgebra.ladder.rung_config`), which by the
-        ladder-subset invariant delivers a subset of the full answer —
-        shedding can only ever *hide* more.  Two refinements keep the
-        cost of shedding low:
+        :func:`repro.metaalgebra.ladder.rung_config`), walking down
+        from there once if that rung fails too; by the ladder-subset
+        invariant it delivers a subset of the full answer — shedding
+        can only ever *hide* more.  Two refinements keep the cost of
+        shedding low:
 
-        * a live cached full-fidelity derivation is still served (a
-          hit costs almost nothing, so there is nothing to shed);
-        * a shed whose derivation is the empty mask — the
-          ``EMPTY_LEVEL`` floor without a live cache entry, or a rung
-          that failed closed — skips evaluating the query at all.
+        * below the ``EMPTY_LEVEL`` floor, a live cached full-fidelity
+          derivation is still served (a hit costs almost nothing, so
+          there is nothing to shed);
+        * the ``EMPTY_LEVEL`` floor is a denial, with ``error`` set to
+          ``reason``, whether or not a cache entry is live: it takes
+          no snapshot, looks nothing up and evaluates nothing.  A shed
+          whose every rung failed closed skips evaluation too.
 
         Degraded derivations are never stored in the cache, so an
         overload can never poison post-overload answers.  The same
@@ -307,10 +307,10 @@ class AuthorizationEngine:
         """The pipeline behind every materialized authorize mode.
 
         ``authorize`` is a batch of one and ``authorize_degraded`` a
-        batch of one with a ladder ``floor``.  Per element: parse and
-        compile (errors raise), then — inside the one fail-closed
-        boundary — establish, evaluate and mask, then exactly one audit
-        record.  An element whose canonical plan already succeeded in
+        batch of one with a ladder ``floor``.  Per element: parse,
+        compile and key (errors raise), then — inside the one
+        fail-closed boundary — establish, evaluate and mask, then
+        exactly one audit record.  An element whose canonical plan already succeeded in
         this call reuses that whole answer.
         """
         floor = max(0, min(floor, EMPTY_LEVEL))
@@ -325,9 +325,8 @@ class AuthorizationEngine:
                     query = parsed[item] = self._parse_query(item, who)
             else:
                 query = item
-            plan = self._compile(query)
+            plan, key = self._plan(query)
             try:
-                key = self._plan_key(plan)
                 authorized = done.get(key)
                 if authorized is None:
                     decision = self._establish(user, plan, key, floor,
@@ -408,14 +407,14 @@ class AuthorizationEngine:
                 ``config.stream_chunk_size``.
         """
         query = self._parse_query(query, "authorize_stream")
-        plan = self._compile(query)
+        plan, key = self._plan(query)
         size = (
             chunk_size if chunk_size is not None and chunk_size > 0
             else self.config.stream_chunk_size
         )
         outcome: Optional[StreamOutcome] = None
         try:
-            decision = self._establish(user, plan, self._plan_key(plan))
+            decision = self._establish(user, plan, key)
             if decision.error is None:
                 outcome = self._evaluate_stream(plan, size)
         except BackendUnavailableError:
@@ -441,6 +440,7 @@ class AuthorizationEngine:
             failover_reason=outcome.failover_reason if outcome else None,
         )
         if outcome is not None:
+            assert decision.compiled is not None
             stream._chunks = self._stream_chunks(stream, outcome.chunks,
                                                  decision.compiled)
         elif self.audit is not None:
@@ -454,7 +454,7 @@ class AuthorizationEngine:
         self,
         stream: AnswerStream,
         chunks: Iterator[Tuple[Row, ...]],
-        compiled: Optional[CompiledMask],
+        compiled: CompiledMask,
     ) -> Iterator[MaskedChunk]:
         """Mask and deliver answer chunks; the stream's engine half.
 
@@ -470,12 +470,10 @@ class AuthorizationEngine:
         exactly one record covering what was actually delivered.
         """
         budget = Budget.from_config(self.config)
-        columns = stream.plan.output_columns(self.database.schema)
         delivered = 0
         try:
             for chunk in chunks:
-                masked, stats = self._mask(chunk, columns, stream.mask,
-                                           compiled)
+                masked, stats = self._mask(chunk, compiled)
                 delivered += stats.total_rows
                 if budget is not None:
                     budget.charge_stream(delivered, "authorize_stream")
@@ -515,22 +513,23 @@ class AuthorizationEngine:
         the repeated compile free).
         """
         parsed = self._parse_query(query, "prepare")
-        self._compile(parsed)
+        self._plan(parsed)
         return parsed
 
     def deny(self, user: str, query: Union[Query, str],
              reason: str) -> AuthorizedAnswer:
         """An audited, empty-mask denial of ``query``.
 
-        Unlike :meth:`authorize_degraded` at the EMPTY floor, this
-        never consults the derivation cache and never evaluates the
-        query: the cost is bounded by plan compilation (memoized) and
-        the answer is guaranteed empty.  The serving layer uses it for
+        Like :meth:`authorize_degraded` at the EMPTY floor, this never
+        consults the derivation cache and never evaluates the query:
+        the cost is bounded by plan compilation (memoized) and the
+        answer is guaranteed empty.  Unlike it, nothing runs inside a
+        fail-closed boundary, so the serving layer uses it for
         admission hard sheds and for failing one request closed after
         a worker-side fault.
         """
         parsed = self._parse_query(query, "deny")
-        plan = self._compile(parsed)
+        plan, _ = self._plan(parsed)
         authorized = self._answer(user, parsed, plan,
                                   self._denial(plan, reason))
         if self.audit is not None:
@@ -541,8 +540,7 @@ class AuthorizationEngine:
                query: Union[Query, str]) -> MaskDerivation:
         """Derive the mask only (no data touched) — with full trace."""
         query = self._parse_query(query, "derive")
-        plan = self._compile(query)
-        key = self._plan_key(plan)
+        plan, key = self._plan(query)
         views, cache_key = self._snapshot(user, plan, key)
         derivation, _ = self._derive(plan, views, cache_key)
         return derivation
@@ -559,7 +557,7 @@ class AuthorizationEngine:
         mask is identical either way.
         """
         query = self._parse_query(query, "trace")
-        plan = self._compile(query)
+        plan, _ = self._plan(query)
         views = self.catalog.snapshot(user, plan.relation_names())
         return self._derive_uncached(plan, views, materialize=True)
 
@@ -576,39 +574,27 @@ class AuthorizationEngine:
             return parsed
         return query
 
-    def _compile(self, query: Query) -> PSJQuery:
-        """Compile ``query`` with LRU memoization (the schema is
-        immutable for the engine's lifetime, so plans never go stale).
+    def _plan(self, query: Query) -> Tuple[PSJQuery, PlanKey]:
+        """``query``'s plan and its canonical key, LRU-memoized (the
+        schema is immutable for the engine's lifetime, so neither ever
+        goes stale).
 
         Compilation runs outside the memo lock; a racing thread at
         worst compiles the same plan twice and the second store wins —
-        both plans are equal, so either may be served.
+        both entries are equal, so either may be served.
         """
         with self._memo_lock:
-            plan = self._plan_cache.get(query)
-            if plan is not None:
-                self._plan_cache.move_to_end(query)
-                return plan
+            entry = self._plans.get(query)
+            if entry is not None:
+                self._plans.move_to_end(query)
+                return entry
         plan = compile_query(query, self.database.schema)
+        entry = (plan, canonical_plan_key(plan, self.database.schema))
         with self._memo_lock:
-            self._plan_cache[query] = plan
-            while len(self._plan_cache) > self._plan_cache_capacity:
-                self._plan_cache.popitem(last=False)
-        return plan
-
-    def _plan_key(self, plan: PSJQuery) -> PlanKey:
-        """Canonical key of ``plan``, LRU-memoized like the plans."""
-        with self._memo_lock:
-            key = self._plan_key_cache.get(plan)
-            if key is not None:
-                self._plan_key_cache.move_to_end(plan)
-                return key
-        key = canonical_plan_key(plan, self.database.schema)
-        with self._memo_lock:
-            self._plan_key_cache[plan] = key
-            while len(self._plan_key_cache) > self._plan_cache_capacity:
-                self._plan_key_cache.popitem(last=False)
-        return key
+            self._plans[query] = entry
+            while len(self._plans) > self._plans_capacity:
+                self._plans.popitem(last=False)
+        return entry
 
     def _snapshot(self, user: str, plan: PSJQuery, key: PlanKey
                   ) -> Tuple[ViewSnapshot, DerivationKey]:
@@ -624,24 +610,26 @@ class AuthorizationEngine:
         """Decide what ``user`` may see of ``plan``'s answer, before
         any of it is evaluated: the establishment step of every mode.
 
-        Reads ``user``'s admissible views once, derives the mask at
-        ladder rung ``floor`` or below (through the cache), and turns
-        an empty rung into a denial.  Otherwise it builds the
+        The ``EMPTY_LEVEL`` floor delivers nothing, so it is a denial
+        decided before anything is read.  Otherwise this reads
+        ``user``'s admissible views once, derives the mask at ladder
+        rung ``floor`` or below (through the cache), and turns an
+        empty rung into a denial.  A derived mask gets its
         :class:`~repro.core.mask.Mask`, its compiled form and the
         inferred permits, which the mask-and-tally step and the answer
-        envelopes then share.
+        envelopes then share.  A mask that fails to compile raises to
+        the caller's fail-closed boundary.
         """
+        if floor >= EMPTY_LEVEL:
+            return self._denial(plan, shed_reason or "denied")
         views, cache_key = self._snapshot(user, plan, key)
         derivation, hit = self._derive(plan, views, cache_key, floor,
                                        shed_reason)
         if derivation.degradation_level >= EMPTY_LEVEL:
-            # The empty mask delivers nothing at any floor, so it is a
-            # denial and skips evaluation: a shed reports its reason, a
-            # ladder that failed closed reports why it failed.
-            return self._denial(
-                plan, shed_reason if floor
-                else derivation.degradation_reason or "denied",
-            )
+            # Every rung failed closed: a shed reports its reason, a
+            # full-fidelity request why the ladder failed.
+            reason = shed_reason if floor else derivation.degradation_reason
+            return self._denial(plan, reason or "denied")
         assert derivation.mask is not None
         mask = Mask.from_table(derivation.mask)
         return Decision(
@@ -688,9 +676,9 @@ class AuthorizationEngine:
             delivered: MaskedChunk = ()
             stats = DeliveryStats.of(delivered, answer.arity)
         else:
+            assert decision.compiled is not None
             answer = outcome.answer
-            delivered, stats = self._mask(answer.rows, answer.columns,
-                                          decision.mask, decision.compiled)
+            delivered, stats = self._mask(answer.rows, decision.compiled)
         return AuthorizedAnswer(
             user=user,
             query=query,
@@ -708,73 +696,40 @@ class AuthorizationEngine:
             failover_reason=outcome.failover_reason if outcome else None,
         )
 
-    def _mask(
-        self,
-        rows: Sequence[Row],
-        columns: Sequence[Column],
-        mask: Mask,
-        compiled: Optional[CompiledMask],
-    ) -> Tuple[MaskedChunk, DeliveryStats]:
+    def _mask(self, rows: Sequence[Row], compiled: CompiledMask
+              ) -> Tuple[MaskedChunk, DeliveryStats]:
         """Mask a whole answer's rows, or one chunk of them, and tally
         what is delivered: the mask-and-tally step of every mode.
 
         The columnar kernel masks the row tuple directly and reports
-        the statistics from its visibility lanes.  Only when
-        compilation failed do the rows go to the interpreted
-        ``Mask.apply``, wrapped in a throwaway
-        :class:`~repro.algebra.relation.Relation` (safe: answers and
-        stream chunks are already deduplicated, so set semantics
-        cannot drop rows), and ``DeliveryStats.of`` counts what it
-        delivered.
+        the statistics from its visibility lanes.
         """
-        drop = self.config.drop_fully_masked_rows
-        if compiled is not None:
-            tally: List[DeliveryStats] = []
-            masked = compiled.apply_rows(rows, drop_fully_masked=drop,
-                                         tally=tally)
-            return masked, tally[0]
-        relation = Relation(columns, rows, validate=False)
-        masked = mask.apply(relation, drop_fully_masked=drop)
-        return masked, DeliveryStats.of(masked, len(columns))
+        tally: List[DeliveryStats] = []
+        masked = compiled.apply_rows(
+            rows, drop_fully_masked=self.config.drop_fully_masked_rows,
+            tally=tally,
+        )
+        return masked, tally[0]
 
     def _compiled_for(self, mask: Mask, derivation: MaskDerivation,
-                      cache_key: DerivationKey) -> Optional[CompiledMask]:
+                      cache_key: DerivationKey) -> CompiledMask:
         """The columnar kernel's compiled form of ``mask``.
 
         Amortized exactly like the derivation itself: the compiled mask
         is attached to the derivation's cache entry under the same
         key, so a cache hit skips compilation and an eviction drops
-        both together.  Any failure — lookup, store, or compilation —
-        degrades to the interpreted ``Mask.apply`` (``None``), which is
-        always correct; dev mode re-raises.
+        both together.  Degraded derivations are never cached, so
+        neither is their compiled form.
         """
         cache = self._derivation_cache
-        # Degraded derivations are never cached, so neither is their
-        # compiled form.
-        key: Optional[DerivationKey] = (
-            cache_key if derivation.degradation_level == 0 else None
-        )
-        if key is not None:
-            try:
-                compiled = cache.get_compiled(key)
-            except ReproError:
-                if not self.config.fail_closed:
-                    raise
-                key = compiled = None
+        cached = derivation.degradation_level == 0
+        if cached:
+            compiled = cache.get_compiled(cache_key)
             if isinstance(compiled, CompiledMask):
                 return compiled
-        try:
-            compiled = compile_mask(mask)
-        except ReproError:
-            if not self.config.fail_closed:
-                raise
-            return None
-        if key is not None:
-            try:
-                cache.put_compiled(key, compiled)
-            except ReproError:
-                if not self.config.fail_closed:
-                    raise
+        compiled = compile_mask(mask)
+        if cached:
+            cache.put_compiled(cache_key, compiled)
         return compiled
 
     def _derive(
@@ -792,7 +747,9 @@ class AuthorizationEngine:
         live full-fidelity entry is served at any floor (a hit costs
         nothing to shed), but only full-fidelity derivations are
         stored: a degraded mask is transient by design, and caching
-        one would keep serving it after the overload passed.
+        one would keep serving it after the overload passed.  A
+        degraded derivation that no failure forced below ``floor``
+        records ``reason``.
         """
         cache = self._derivation_cache
         try:
@@ -804,30 +761,15 @@ class AuthorizationEngine:
         if self._valid_cached(cached):
             assert isinstance(cached, MaskDerivation)
             return cached, True
-        if floor >= EMPTY_LEVEL:
-            return empty_derivation(
-                plan, self.database.schema, reason=reason
-            ), False
-        rung = rung_config(self.config, floor)
-        assert rung is not None
-        derivation = self._derive_uncached(plan, views, config=rung)
-        if floor:
-            # derive_mask_resilient reports the rung relative to the
-            # configuration it was handed; rungs compose by max, so the
-            # absolute level is max(floor, relative) — except the empty
-            # floor, which is already absolute.
-            if derivation.degradation_level < EMPTY_LEVEL:
-                derivation.degradation_level = max(
-                    floor, derivation.degradation_level
-                )
-            if derivation.degradation_reason is None:
-                derivation.degradation_reason = reason
-        elif derivation.degradation_level == 0:
+        derivation = self._derive_uncached(plan, views, floor)
+        if derivation.degradation_level == 0:
             try:
                 cache.put(key, derivation)
             except ReproError:
                 if not self.config.fail_closed:
                     raise
+        elif derivation.degradation_reason is None:
+            derivation.degradation_reason = reason
         return derivation, False
 
     @staticmethod
@@ -839,13 +781,13 @@ class AuthorizationEngine:
         )
 
     def _derive_uncached(
-        self, plan: PSJQuery, views: ViewSnapshot,
-        config: Optional[EngineConfig] = None,
+        self, plan: PSJQuery, views: ViewSnapshot, floor: int = 0,
         materialize: bool = False,
     ) -> MaskDerivation:
-        config = config if config is not None else self.config
+        config = self.config
         excuse = None
-        if config.existential_closure:
+        # Only the full-fidelity rung keeps the extension.
+        if config.existential_closure and not floor:
             try:
                 excuse = make_excuse(views, plan, self.database.schema)
             except ReproError:
@@ -860,6 +802,7 @@ class AuthorizationEngine:
             self.database.schema,
             views,
             config,
+            floor=floor,
             excuse=excuse,
             materialize=materialize,
         )

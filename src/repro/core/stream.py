@@ -54,8 +54,9 @@ class AnswerStream:
     delivery statistics accumulate as chunks are consumed and are final
     once :attr:`finished` is True.
 
-    A denied or failed request yields an empty stream with
-    :attr:`error` set (the fail-closed shape).  A mid-stream failure
+    A denied or failed request, a mask that fails to compile
+    included, yields an empty stream with :attr:`error` set (the
+    fail-closed shape).  A mid-stream failure
     ends the stream early — already-delivered chunks stand, the
     remainder is withheld — and sets :attr:`error` likewise.
     """

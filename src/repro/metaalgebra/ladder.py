@@ -18,13 +18,14 @@ delivers a subset of rung N:
     4  ``empty``        no derivation at all; the mask is empty and
                         nothing is delivered (fail closed)
 
-:func:`derive_mask_resilient` walks the ladder: budget exhaustion
-(:class:`~repro.errors.BudgetExceededError`,
+:func:`derive_mask_resilient` walks the ladder once, from a floor rung
+down: budget exhaustion (:class:`~repro.errors.BudgetExceededError`,
 :class:`~repro.errors.DerivationTimeout`) always drops to the next
 rung; any other internal failure drops too when the engine is
 configured fail-closed, and propagates in dev mode
-(``fail_closed=False``).  Every rung gets a fresh budget, so the worst
-case is ``len(ladder) * deadline`` wall time.
+(``fail_closed=False``).  Each rung is tried at most once, with a
+fresh budget, so the worst case is ``len(ladder) * deadline`` wall
+time.
 """
 
 from __future__ import annotations
@@ -99,23 +100,26 @@ def derive_mask_resilient(
     schema: DatabaseSchema,
     views: ViewSnapshot,
     config: EngineConfig,
+    floor: int = 0,
     excuse: Optional[ExcusePredicate] = None,
     clock: Callable[[], float] = time.monotonic,
     materialize: bool = False,
 ) -> MaskDerivation:
-    """Derive the mask, degrading down the ladder instead of failing.
+    """Derive the mask at rung ``floor`` or below, degrading down the
+    ladder instead of failing.
 
-    Returns a derivation whose ``degradation_level`` records the rung
-    that succeeded (``EMPTY_LEVEL`` when every rung failed).  Raises
-    only in dev mode (``config.fail_closed`` False) — and then only for
-    genuine faults, or for budget exhaustion when the ladder is
-    disabled; with the ladder enabled, budget exhaustion always
-    degrades, because it is defined behaviour rather than a failure.
-    ``materialize`` is passed through to :func:`derive_mask`.
+    Tries rungs ``floor`` .. ``EMPTY_LEVEL - 1`` of ``config``, each
+    once, and returns the first that succeeds, its
+    ``degradation_level`` set to that rung; when every rung fails (or
+    ``floor`` is ``EMPTY_LEVEL``) the result is the empty mask at
+    ``EMPTY_LEVEL``.  ``degradation_reason`` is the first failure.
+    Raises only in dev mode (``config.fail_closed`` False), and then
+    only for genuine faults: budget exhaustion is defined behaviour,
+    not a failure, so it always degrades.  ``materialize`` is passed
+    through to :func:`derive_mask`.
     """
-    levels = range(EMPTY_LEVEL if config.degradation_ladder else 1)
     reason: Optional[str] = None
-    for level in levels:
+    for level in range(floor, EMPTY_LEVEL):
         rung = rung_config(config, level)
         assert rung is not None
         budget = Budget.from_config(rung, clock)
@@ -130,12 +134,10 @@ def derive_mask_resilient(
             derivation.degradation_reason = reason
             return derivation
         except (BudgetExceededError, DerivationTimeout) as error:
-            if not config.degradation_ladder and not config.fail_closed:
-                raise
             reason = reason or f"{type(error).__name__}: {error}"
         except Exception as error:
             if not config.fail_closed:
                 raise
             reason = reason or f"{type(error).__name__}: {error}"
-    # Every rung failed (or was skipped): fail closed to the empty mask.
+    # Every rung failed: fail closed to the empty mask.
     return empty_derivation(psj, schema, reason=reason)

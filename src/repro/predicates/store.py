@@ -33,6 +33,10 @@ from repro.errors import ReproError
 from repro.predicates.comparators import Comparator
 from repro.predicates.intervals import Interval
 
+#: The unconstrained interval, shared: ``Interval`` is frozen, and most
+#: uses are ``dict.get``/``pop`` defaults evaluated on every call.
+_TOP = Interval.top()
+
 
 @dataclass(frozen=True)
 class VarRelation:
@@ -98,7 +102,7 @@ class ConstraintStore:
 
     def interval_for(self, var: str) -> Interval:
         """The interval constraint on ``var`` (top when unconstrained)."""
-        return self._intervals.get(var, Interval.top())
+        return self._intervals.get(var, _TOP)
 
     def relations_of(self, var: str) -> Tuple[VarRelation, ...]:
         """All variable-to-variable relations mentioning ``var``."""
@@ -171,7 +175,7 @@ class ConstraintStore:
         the other operand.
         """
         intervals = dict(self._intervals)
-        own = intervals.pop(var, Interval.top())
+        own = intervals.pop(var, _TOP)
         if not own.contains(value):
             # Record an impossible interval so unsatisfiability is visible.
             intervals[var] = _IMPOSSIBLE
@@ -193,7 +197,7 @@ class ConstraintStore:
             if relation.left == var:
                 op = op.flipped()
             interval = Interval.from_comparison(op, value)
-            current = intervals.get(other, Interval.top())
+            current = intervals.get(other, _TOP)
             intervals[other] = current.intersect(interval)
         return ConstraintStore(intervals, relations)
 
@@ -202,8 +206,8 @@ class ConstraintStore:
         if keep == drop:
             return self
         intervals = dict(self._intervals)
-        dropped = intervals.pop(drop, Interval.top())
-        intervals[keep] = intervals.get(keep, Interval.top()).intersect(dropped)
+        dropped = intervals.pop(drop, _TOP)
+        intervals[keep] = intervals.get(keep, _TOP).intersect(dropped)
         relations: Set[VarRelation] = set()
         for relation in self._relations:
             left = keep if relation.left == drop else relation.left
@@ -219,7 +223,7 @@ class ConstraintStore:
         """Conjunction of two stores."""
         intervals = dict(self._intervals)
         for var, interval in other._intervals.items():
-            intervals[var] = intervals.get(var, Interval.top()).intersect(interval)
+            intervals[var] = intervals.get(var, _TOP).intersect(interval)
         return ConstraintStore(intervals, self._relations | other._relations)
 
     def restrict_closure(self, roots: Iterable[str]) -> "ConstraintStore":
@@ -285,19 +289,19 @@ class ConstraintStore:
         for _ in range(rounds):
             changed = False
             for relation in order:
-                left = intervals.get(relation.left, Interval.top())
-                right = intervals.get(relation.right, Interval.top())
+                left = intervals.get(relation.left, _TOP)
+                right = intervals.get(relation.right, _TOP)
                 strict = relation.op is Comparator.LT
                 # left < right: left.hi tightened by right.hi, and
                 # right.lo tightened by left.lo.
                 new_left = left.intersect(Interval(
                     hi=right.hi,
                     hi_strict=strict or right.hi_strict,
-                ) if right.hi is not None else Interval.top())
+                ) if right.hi is not None else _TOP)
                 new_right = right.intersect(Interval(
                     lo=left.lo,
                     lo_strict=strict or left.lo_strict,
-                ) if left.lo is not None else Interval.top())
+                ) if left.lo is not None else _TOP)
                 if new_left != left:
                     intervals[relation.left] = new_left
                     changed = True
@@ -311,8 +315,8 @@ class ConstraintStore:
 
         for relation in self._relations:
             if relation.op is Comparator.NE:
-                left = intervals.get(relation.left, Interval.top())
-                right = intervals.get(relation.right, Interval.top())
+                left = intervals.get(relation.left, _TOP)
+                right = intervals.get(relation.right, _TOP)
                 if (left.is_point and right.is_point
                         and left.the_point() == right.the_point()):
                     return True

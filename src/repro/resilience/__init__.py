@@ -1,16 +1,14 @@
 """Fault tolerance for execution backends: retry, breaker, failover.
 
-The package composes three layers, each usable alone:
+The package composes two layers:
 
-* :mod:`repro.resilience.retry` — a deterministic, seedable
-  :class:`~repro.resilience.retry.RetryPolicy` (pure data, no clock);
 * :mod:`repro.resilience.breaker` — a thread-safe per-(tenant,
   backend) :class:`~repro.resilience.breaker.CircuitBreaker` with an
   injected clock;
 * :mod:`repro.resilience.failover` — the
   :class:`~repro.resilience.failover.ResilientExecutor` that wraps a
-  backend with both and, when they are exhausted, soundly re-evaluates
-  on the registered Python oracle.
+  backend with immediate retries and the breaker and, when they are
+  exhausted, soundly re-evaluates on the registered Python oracle.
 """
 
 from repro.resilience.breaker import (
@@ -24,7 +22,6 @@ from repro.resilience.failover import (
     ExecutionOutcome,
     ResilientExecutor,
 )
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "CLOSED",
@@ -32,7 +29,6 @@ __all__ = [
     "HALF_OPEN",
     "BreakerPolicy",
     "CircuitBreaker",
-    "RetryPolicy",
     "ResilientExecutor",
     "ExecutionOutcome",
 ]

@@ -18,7 +18,7 @@ move is recorded on
 Fault sites wired here (see :mod:`repro.testing.faults`):
 
 * ``backend.execute`` — every try at the primary backend;
-* ``retry.sleep`` — before each backoff sleep;
+* ``retry.sleep`` — between a failed try and the next one;
 * ``breaker.probe`` — a half-open probe attempt;
 * ``failover.execute`` — the oracle re-evaluation itself (a fault
   here exhausts the safety net and the engine fails closed).
@@ -41,7 +41,6 @@ from repro.algebra.relation import Relation, Row
 from repro.backends.base import ExecutionBackend
 from repro.errors import BackendError, BackendUnavailableError, FaultInjected
 from repro.resilience.breaker import HALF_OPEN, BreakerPolicy, CircuitBreaker
-from repro.resilience.retry import RetryPolicy
 from repro.testing.faults import maybe_fault
 
 #: Exception types a retry can plausibly outwait.  Anything else —
@@ -90,6 +89,10 @@ class ResilientExecutor:
     engine — so the breaker is per ``(tenant, backend)`` and one
     tenant's flaky store never opens anyone else's breaker.
 
+    A call gets ``attempts`` tries at the primary (at least one), the
+    next starting as soon as the last failed: nothing sleeps between
+    tries, so a run is replayable.
+
     When ``failover`` is False the safety net is off: retry exhaustion
     re-raises the last backend error, and an unavailable backend
     raises its typed :class:`~repro.errors.BackendUnavailableError` —
@@ -101,16 +104,17 @@ class ResilientExecutor:
         self,
         primary: ExecutionBackend,
         oracle: ExecutionBackend,
-        retry: RetryPolicy = RetryPolicy(),
+        attempts: int = 2,
         breaker_policy: BreakerPolicy = BreakerPolicy(),
         failover: bool = True,
         standing_reason: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        if attempts < 1:
+            raise ValueError(f"need at least one attempt: {attempts}")
         self.primary = primary
         self.oracle = oracle
-        self.retry = retry
+        self.attempts = attempts
         self.failover = failover
         #: Set when the *configured* backend could not even be
         #: constructed (see ``AuthorizationEngine``): the executor
@@ -118,7 +122,6 @@ class ResilientExecutor:
         #: carries this reason.
         self.standing_reason = standing_reason
         self.breaker = CircuitBreaker(breaker_policy, clock)
-        self._sleep = sleep
 
     # ------------------------------------------------------------------
     # the two backend calls, wrapped
@@ -175,7 +178,7 @@ class ResilientExecutor:
             return self._failover(call, "circuit breaker open")
         last: Optional[Exception] = None
         attempts = 0
-        for attempt in range(1, self.retry.attempts + 1):
+        for attempt in range(1, self.attempts + 1):
             if attempt > 1 and not self.breaker.allow():
                 return self._failover(
                     call, "circuit breaker opened mid-retry",
@@ -199,8 +202,10 @@ class ResilientExecutor:
             except _RETRYABLE as error:
                 self.breaker.record_failure()
                 last = error
-                if attempt < self.retry.attempts:
-                    self._backoff(attempt)
+                if attempt < self.attempts:
+                    # The retry machinery's own site: a fault here
+                    # ends the tries and propagates.
+                    maybe_fault("retry.sleep")
                 continue
             self.breaker.record_success()
             return result, self.primary.name, None, attempts
@@ -218,31 +223,18 @@ class ResilientExecutor:
     ) -> Tuple[object, str, Optional[str], int]:
         """The degenerate loop when the primary *is* the oracle."""
         last: Optional[Exception] = None
-        for attempt in range(1, self.retry.attempts + 1):
+        for attempt in range(1, self.attempts + 1):
             try:
                 maybe_fault("backend.execute")
                 result = call(self.primary)
             except _RETRYABLE as error:
                 last = error
-                if attempt < self.retry.attempts:
-                    self._backoff(attempt)
+                if attempt < self.attempts:
+                    maybe_fault("retry.sleep")
                 continue
             return result, self.primary.name, None, attempt
         assert last is not None
         raise last
-
-    def _backoff(self, attempt: int) -> None:
-        """Sleep out the (deterministic) backoff for ``attempt``.
-
-        A fault injected at ``retry.sleep`` propagates as a retryable
-        failure of the *next* attempt would — it is part of the retry
-        machinery, so the chaos harness can break the machinery
-        itself, not just the backend under it.
-        """
-        maybe_fault("retry.sleep")
-        delay_ms = self.retry.delay_ms(attempt)
-        if delay_ms > 0:
-            self._sleep(delay_ms / 1000.0)
 
     def _failover(
         self,

@@ -88,7 +88,8 @@ class ServerConfig:
     #: answered at ``deadline_floor`` instead.
     request_deadline_ms: float = 0.0
     #: Ladder rung for deadline-expired requests.  The default EMPTY
-    #: rung answers them immediately without evaluating (the caller
+    #: rung is a denial (``error`` set), answered immediately without
+    #: evaluating, whether or not a cache entry is live (the caller
     #: has likely stopped waiting); a lower rung trades some drainer
     #: time for a partial answer.
     deadline_floor: int = 4

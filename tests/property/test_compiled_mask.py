@@ -11,10 +11,10 @@ up to 10 columns.  The interpreted path stays in the tree as the
 reference oracle precisely so this suite can say "identical", not
 "close".  The kernel's tally must equal ``DeliveryStats.of`` over what
 it delivered (chunk by chunk, in
-``tests/property/test_chunked_apply.py``).  ``TestEndToEnd`` runs the same comparison through
-the engine: a mask that fails to compile is delivered by the
-interpreted fallback, and must deliver what the compiled one does.
-The check of every engine delivery mode against the oracle lives in
+``tests/property/test_chunked_apply.py``).  ``TestEndToEnd`` runs
+the same comparison through the engine, whose only masker is the
+kernel: each delivery must equal ``Mask.apply`` over the engine's own
+answer and mask.  The check of every engine delivery mode against the oracle lives in
 ``tests/property/test_engine_properties.py``.
 """
 
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.algebra.expression import AtomicCondition, Col, Const
 from repro.algebra.relation import Column, Relation
 from repro.algebra.types import INTEGER, REAL, STRING
+from repro.config import DEFAULT_CONFIG
 from repro.core.answer import DeliveryStats
 from repro.core.compiled_mask import apply_mask_columnar, compile_mask
 from repro.core.engine import AuthorizationEngine
@@ -358,9 +359,9 @@ seeds = st.integers(min_value=0, max_value=10_000)
 def masks_never_compile():
     """Make every mask compilation in the engine fail.
 
-    The engine then delivers through its interpreted ``Mask.apply``
-    fallback.  Yields the patched ``compile_mask`` so a test can check
-    that compilation was attempted, i.e. that the fallback ran.
+    The engine then fails each request closed: a denial with ``error``
+    set that delivers nothing.  Yields the patched ``compile_mask`` so
+    a test can check that compilation was attempted.
     """
     failure = ReproError("mask compilation unavailable")
     with mock.patch("repro.core.engine.compile_mask",
@@ -370,25 +371,24 @@ def masks_never_compile():
 
 class TestEndToEnd:
     @SLOW
-    @given(seeds)
-    def test_engines_agree_on_workloads(self, seed):
+    @given(seeds, st.booleans())
+    def test_engines_agree_on_workloads(self, seed, drop):
         generator = WorkloadGenerator(seed)
         spec = WorkloadSpec(seed=seed, relations=3, views=3, users=2,
                             rows_per_relation=8)
         workload = generator.workload(spec)
-        compiled_engine = AuthorizationEngine(workload.database,
-                                              workload.catalog)
-        interpreted_engine = AuthorizationEngine(workload.database,
-                                                 workload.catalog)
+        engine = AuthorizationEngine(
+            workload.database, workload.catalog,
+            DEFAULT_CONFIG.but(drop_fully_masked_rows=drop),
+        )
         for _ in range(2):
             query = generator.query(spec, workload.database.schema)
             for user in workload.users:
-                fast = compiled_engine.authorize(user, query)
-                with masks_never_compile() as compile_attempts:
-                    slow = interpreted_engine.authorize(user, query)
-                assert compile_attempts.called
-                assert fast.delivered == slow.delivered, \
-                    f"seed={seed} user={user} query={query}"
-                assert [str(p) for p in fast.permits] \
-                    == [str(p) for p in slow.permits]
-                assert fast.stats() == slow.stats()
+                answer = engine.authorize(user, query)
+                want = answer.mask.apply(answer.answer,
+                                         drop_fully_masked=drop)
+                assert answer.error is None
+                assert answer.delivered == want, \
+                    f"seed={seed} drop={drop} user={user} query={query}"
+                assert answer.stats() == DeliveryStats.of(
+                    want, answer.answer.arity)

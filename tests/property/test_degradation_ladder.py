@@ -202,14 +202,19 @@ class TestAdmissionShedding:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_empty_rung_delivers_nothing(name):
+    # Reached two ways: a budget that every rung exhausts, and a shed
+    # to the EMPTY floor (which every case reaches).
     database, catalog, users, queries = CASES[name]()
     engine = AuthorizationEngine(
         database, catalog,
-        DEFAULT_CONFIG.but(max_mask_rows=1, degradation_ladder=False),
+        DEFAULT_CONFIG.but(max_mask_rows=1),
     )
     for user in users:
         for query in queries:
-            answer = engine.authorize(user, query)
-            if answer.degradation_level == EMPTY_LEVEL:
-                assert visible_cells(answer) == set()
-                assert answer.permits == ()
+            answers = (engine.authorize(user, query),
+                       engine.authorize_degraded(user, query, EMPTY_LEVEL))
+            for answer in answers:
+                if answer.degradation_level == EMPTY_LEVEL:
+                    assert visible_cells(answer) == set()
+                    assert answer.permits == ()
+            assert answers[1].degradation_level == EMPTY_LEVEL

@@ -7,9 +7,10 @@ These are the heavyweight checks:
   on randomly generated workloads, a mutation invisible to a user's
   permitted views never changes what that user receives;
 * **one oracle for every delivery mode** — ``authorize``, each
-  ``authorize_batch`` element, ``authorize_degraded`` at floor 0 and
-  the concatenated ``authorize_stream`` chunks all deliver exactly
-  what Figure 2 gives when run the slow way;
+  ``authorize_batch`` element, ``authorize_degraded`` at every floor
+  and the concatenated ``authorize_stream`` chunks all deliver exactly
+  what Figure 2 gives when run the slow way (at the floor's ladder
+  rung; nothing at the EMPTY floor);
 * **evaluator agreement** — naive and optimized data evaluation agree
   on random conjunctive queries;
 * **delivery shape** — delivered rows always align with the raw answer
@@ -29,6 +30,7 @@ from repro.calculus.to_algebra import compile_query
 from repro.config import BASE_MODEL_CONFIG, DEFAULT_CONFIG
 from repro.core.engine import AuthorizationEngine
 from repro.core.mask import MASKED, Mask
+from repro.metaalgebra.ladder import EMPTY_LEVEL, rung_config
 from repro.metaalgebra.plan import derive_mask
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
@@ -86,7 +88,10 @@ class TestDeliveryModesMatchOracle:
     product (``derive_mask(..., materialize=True)``) and applies it
     with the interpreted ``Mask.apply``.  Each mode must deliver
     exactly those rows, in that order, with and without
-    ``drop_fully_masked_rows``.
+    ``drop_fully_masked_rows``.  A shed to floor ``f`` must deliver
+    the oracle run with ``rung_config(config, f)``; the engine that
+    sheds has its cache off, since a live full-fidelity entry is
+    served at any floor below EMPTY.
     """
 
     @SLOW
@@ -96,6 +101,8 @@ class TestDeliveryModesMatchOracle:
         config = DEFAULT_CONFIG.but(drop_fully_masked_rows=drop)
         engine = AuthorizationEngine(workload.database, workload.catalog,
                                      config)
+        shed = AuthorizationEngine(workload.database, workload.catalog,
+                                   config.but(derivation_cache_size=0))
         schema = workload.database.schema
         queries = [generator.query(spec, schema) for _ in range(2)]
         for user in workload.users:
@@ -106,12 +113,23 @@ class TestDeliveryModesMatchOracle:
                 views = workload.catalog.snapshot(
                     user, plan.relation_names()
                 )
-                mask = derive_mask(plan, schema, views, config,
-                                   materialize=True).mask
-                want = Mask.from_table(mask).apply(
-                    evaluate_naive(plan, workload.database),
-                    drop_fully_masked=drop,
-                )
+                answer = evaluate_naive(plan, workload.database)
+
+                def oracle(rung):
+                    mask = derive_mask(plan, schema, views, rung,
+                                       materialize=True).mask
+                    return Mask.from_table(mask).apply(
+                        answer, drop_fully_masked=drop)
+
+                want = oracle(config)
+                for floor in range(1, EMPTY_LEVEL + 1):
+                    rung = rung_config(config, floor)
+                    shed_rows = shed.authorize_degraded(
+                        user, query, floor).delivered
+                    assert shed_rows == (
+                        () if rung is None else oracle(rung)
+                    ), (f"seed={seed} drop={drop} user={user} "
+                        f"floor={floor} query={query}")
                 got = {
                     "authorize": engine.authorize(user, query),
                     "batch": batch[index],

@@ -5,7 +5,7 @@ This is the parity suite soundlint SL009 pins the
 identical to its registered oracle (``PythonBackend``) — the property
 that makes failover an availability mechanism rather than a soundness
 hole.  Alongside the parity pins, the suite unit-tests the
-deterministic ``RetryPolicy``, the ``CircuitBreaker`` state machine
+executor's retry attempts, the ``CircuitBreaker`` state machine
 (with a fake clock), and the engine-level wiring: ``backend_used`` /
 ``failover_reason`` on answers and audit records, construction-time
 failover, and the typed ``BackendUnavailableError`` escape when
@@ -34,7 +34,6 @@ from repro.resilience import (
     BreakerPolicy,
     CircuitBreaker,
     ResilientExecutor,
-    RetryPolicy,
 )
 from repro.testing import faults
 
@@ -99,40 +98,13 @@ class FlakyBackend:
 
 
 class TestRetryPolicy:
-    def test_defaults_are_immediate(self):
-        policy = RetryPolicy()
-        assert policy.attempts == 2
-        assert list(policy.delays_ms()) == [0.0]
-
-    def test_exponential_schedule(self):
-        policy = RetryPolicy(attempts=4, base_delay_ms=10.0)
-        assert list(policy.delays_ms()) == [10.0, 20.0, 40.0]
-
-    def test_max_delay_caps_the_schedule(self):
-        policy = RetryPolicy(
-            attempts=8, base_delay_ms=10.0, max_delay_ms=25.0
-        )
-        assert max(policy.delays_ms()) == 25.0
-
-    def test_jitter_is_deterministic_per_seed(self):
-        a = RetryPolicy(attempts=5, base_delay_ms=10.0,
-                        jitter_ms=5.0, seed=7)
-        b = RetryPolicy(attempts=5, base_delay_ms=10.0,
-                        jitter_ms=5.0, seed=7)
-        c = RetryPolicy(attempts=5, base_delay_ms=10.0,
-                        jitter_ms=5.0, seed=8)
-        assert list(a.delays_ms()) == list(b.delays_ms())
-        assert list(a.delays_ms()) != list(c.delays_ms())
-        for attempt in range(1, 5):
-            assert 0.0 <= a.jitter_fraction(attempt) < 1.0
+    """The executor's retry policy is a count of back-to-back tries."""
 
     def test_validation(self):
+        database = small_database()
+        oracle = PythonBackend(database)
         with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_ms=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy().delay_ms(0)
+            ResilientExecutor(primary=oracle, oracle=oracle, attempts=0)
 
 
 class TestCircuitBreaker:
@@ -209,16 +181,16 @@ class TestResilientExecutor:
         executor = ResilientExecutor(
             primary=flaky,
             oracle=oracle,
-            retry=RetryPolicy(attempts=attempts),
+            attempts=attempts,
             breaker_policy=BreakerPolicy(
                 failure_threshold=threshold, recovery_ms=recovery_ms,
             ),
             failover=failover,
             clock=clock,
         )
-        plan = AuthorizationEngine(database)._compile(
+        plan = AuthorizationEngine(database)._plan(
             AuthorizationEngine._parse_query(QUERY, "test")
-        )
+        )[0]
         return executor, flaky, clock, plan, oracle
 
     def test_clean_call_uses_the_primary(self):
@@ -289,11 +261,11 @@ class TestResilientExecutor:
         vanishing = VanishingBackend(oracle, 0)
         executor = ResilientExecutor(
             primary=vanishing, oracle=oracle,
-            retry=RetryPolicy(attempts=3),
+            attempts=3,
         )
-        plan = AuthorizationEngine(database)._compile(
+        plan = AuthorizationEngine(database)._plan(
             AuthorizationEngine._parse_query(QUERY, "test")
-        )
+        )[0]
         outcome = executor.execute(plan)
         assert vanishing.calls == 1  # no retry: it cannot come back
         assert outcome.backend_used == "python"
@@ -314,9 +286,9 @@ class TestResilientExecutor:
             primary=oracle, oracle=oracle,
             standing_reason="unavailable at construction: no driver",
         )
-        plan = AuthorizationEngine(database)._compile(
+        plan = AuthorizationEngine(database)._plan(
             AuthorizationEngine._parse_query(QUERY, "test")
-        )
+        )[0]
         outcome = executor.execute(plan)
         assert outcome.backend_used == "python"
         assert "unavailable at construction" in outcome.failover_reason

@@ -2,8 +2,10 @@
 
 Covers the resource budget in isolation (with a fake clock), the
 degradation ladder's rung configurations, the engine-level behaviour
-under budget exhaustion and injected faults, cache-corruption
-transparency, and the per-element boundary of ``authorize_batch``.
+under budget exhaustion and injected faults, the ladder walk and the
+EMPTY floor of shed requests, masks that fail to compile,
+cache-corruption transparency, and the per-element boundary of
+``authorize_batch``.
 The cross-cutting soundness properties (subset chains across rungs,
 delivery under random faults) live in
 ``tests/property/test_degradation_ladder.py`` and
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.metaalgebra.ladder as ladder_module
 from repro.config import DEFAULT_CONFIG
 from repro.core.audit import AuditLog
 from repro.core.mask import MASKED
@@ -30,6 +33,7 @@ from repro.metaalgebra.ladder import (
     EMPTY_LEVEL,
     rung_config,
 )
+from repro.serving import AuthorizationServer, ServerConfig
 from repro.testing.faults import (
     Fault,
     FaultPlan,
@@ -45,6 +49,7 @@ from repro.workloads.paperdb import (
     EXAMPLE_3_QUERY,
     build_paper_engine,
 )
+from tests.property.test_compiled_mask import masks_never_compile
 
 
 def visible_cells(answer):
@@ -248,14 +253,6 @@ class TestBudgetDegradation:
         assert answer.degradation_level == 0
         assert visible_cells(answer) == visible_cells(baseline)
 
-    def test_ladder_disabled_goes_straight_to_empty(self):
-        engine = build_paper_engine(
-            DEFAULT_CONFIG.but(max_mask_rows=1, degradation_ladder=False)
-        )
-        answer = engine.authorize("Brown", EXAMPLE_3_QUERY)
-        assert answer.degradation == "empty"
-        assert visible_cells(answer) == set()
-
     def test_degraded_derivations_are_not_cached(self):
         engine = build_paper_engine(DEFAULT_CONFIG.but(max_mask_rows=3))
         first = engine.authorize("Brown", EXAMPLE_3_QUERY)
@@ -270,6 +267,88 @@ class TestBudgetDegradation:
         second = engine.authorize("Klein", EXAMPLE_2_QUERY)
         assert second.degradation_level == 0
         assert second.cache_hit
+
+
+# ----------------------------------------------------------------------
+# the ladder walk and the EMPTY floor of a shed
+# ----------------------------------------------------------------------
+
+
+def spy_on_executor(engine, monkeypatch):
+    """Record every plan ``engine`` hands its executor to evaluate."""
+    plans = []
+    execute = engine.executor.execute
+
+    def spied(plan):
+        plans.append(plan)
+        return execute(plan)
+
+    monkeypatch.setattr(engine.executor, "execute", spied)
+    return plans
+
+
+def audit_errors(engine):
+    return [record.error for record in engine.audit.records()]
+
+
+class TestLadderWalk:
+    @pytest.mark.parametrize("floor", range(EMPTY_LEVEL))
+    def test_failing_rungs_are_each_derived_once(self, floor,
+                                                 monkeypatch):
+        # Brown's Example 3 exhausts a one-row budget on every rung,
+        # so a shed to ``floor`` walks down to the empty mask: rungs
+        # floor..3 once each, never a rung twice.
+        config = DEFAULT_CONFIG.but(max_mask_rows=1,
+                                    derivation_cache_size=0)
+        derived = []
+        derive = ladder_module.derive_mask
+
+        def counting(psj, schema, views, rung, **kwargs):
+            derived.append(rung)
+            return derive(psj, schema, views, rung, **kwargs)
+
+        monkeypatch.setattr(ladder_module, "derive_mask", counting)
+        engine = build_paper_engine(config)
+        answer = engine.authorize_degraded("Brown", EXAMPLE_3_QUERY, floor)
+        assert derived == [rung_config(config, level)
+                           for level in range(floor, EMPTY_LEVEL)]
+        assert answer.degradation_level == EMPTY_LEVEL
+        assert answer.delivered == ()
+        assert answer.error is not None
+
+    def test_empty_floor_is_a_denial_with_a_warm_cache(self, monkeypatch):
+        engine = build_paper_engine()
+        engine.audit = AuditLog()
+        warm = engine.authorize("Brown", EXAMPLE_1_QUERY)
+        assert warm.delivered
+        plans = spy_on_executor(engine, monkeypatch)
+        with inject({}) as plan:
+            answer = engine.authorize_degraded(
+                "Brown", EXAMPLE_1_QUERY, EMPTY_LEVEL, reason="shed")
+        assert answer.delivered == ()
+        assert answer.error == "shed"
+        assert answer.degradation_level == EMPTY_LEVEL
+        assert not answer.cache_hit
+        assert plans == []
+        # Decided before the snapshot: not even a cache lookup.
+        assert plan.visits["cache.get"] == 0
+        assert audit_errors(engine) == [None, "shed"]
+
+    def test_expired_server_request_is_a_denial_with_a_warm_cache(
+            self, monkeypatch):
+        engine = build_paper_engine()
+        assert engine.authorize("Brown", EXAMPLE_1_QUERY).delivered
+        plans = spy_on_executor(engine, monkeypatch)
+        config = ServerConfig(workers=1, request_deadline_ms=1e-4)
+        assert config.deadline_floor == EMPTY_LEVEL
+        with AuthorizationServer(config) as server:
+            server.adopt_tenant("paper", engine)
+            answer = server.authorize("paper", "Brown", EXAMPLE_1_QUERY)
+            expired = server.telemetry().admission.deadline_sheds
+        assert expired == 1
+        assert answer.delivered == ()
+        assert answer.error == "request deadline exceeded"
+        assert plans == []
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +405,34 @@ class TestFailClosed:
             answer = engine.authorize("Brown", EXAMPLE_1_QUERY)
         assert answer.degradation == "no-selfjoins"
         assert answer.error is None
+
+    @pytest.mark.parametrize("mode", [
+        "authorize", "authorize_batch", "authorize_degraded",
+        "authorize_stream",
+    ])
+    def test_mask_that_fails_to_compile_fails_closed(self, mode):
+        engine = build_paper_engine()
+        engine.audit = AuditLog()
+        with masks_never_compile() as compile_attempts:
+            if mode == "authorize_stream":
+                stream = engine.authorize_stream("Brown", EXAMPLE_1_QUERY)
+                rows = tuple(row for chunk in stream for row in chunk)
+                error = stream.error
+            else:
+                answer = {
+                    "authorize": lambda: engine.authorize(
+                        "Brown", EXAMPLE_1_QUERY),
+                    "authorize_batch": lambda: engine.authorize_batch(
+                        "Brown", [EXAMPLE_1_QUERY])[0],
+                    "authorize_degraded": lambda: engine.authorize_degraded(
+                        "Brown", EXAMPLE_1_QUERY, 1),
+                }[mode]()
+                rows, error = answer.delivered, answer.error
+        assert compile_attempts.called
+        assert rows == ()
+        assert error is not None
+        assert "mask compilation unavailable" in error
+        assert audit_errors(engine) == [error]
 
     def test_evaluate_fault_is_caught_at_the_boundary(self):
         engine = build_paper_engine()

@@ -11,6 +11,7 @@ expected finding.
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -19,7 +20,7 @@ import pytest
 
 from repro.analysis import registry
 from repro.analysis.flow import build_graph, lock_edges, taint_for
-from repro.analysis.flow.callgraph import ClassInfo, FunctionInfo
+from repro.analysis.flow.callgraph import CallGraph, ClassInfo, FunctionInfo
 from repro.analysis.framework import (
     Context,
     Report,
@@ -843,16 +844,79 @@ def test_live_tree_flow_passes_are_clean() -> None:
     assert report.clean, f"flow violations in the live tree:\n{rendered}"
 
 
+def _resolves(graph: CallGraph, name: str) -> bool:
+    """Whether ``name`` (a module, ``module:qualname`` or a dotted
+    qualified name) is defined in the tree ``graph`` indexes."""
+    if name in graph.modules:
+        return True
+    if ":" not in name:
+        parts = name.split(".")
+        modules = [cut for cut in range(len(parts) - 1, 0, -1)
+                   if ".".join(parts[:cut]) in graph.modules]
+        if not modules:
+            return False
+        cut = modules[0]
+        name = f"{'.'.join(parts[:cut])}:{'.'.join(parts[cut:])}"
+    return name in graph.functions or name in graph.classes
+
+
+def _assigns(info: ClassInfo, attribute: str) -> bool:
+    """Whether a method of ``info`` assigns ``self.<attribute>``."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == attribute
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        for node in ast.walk(info.node)
+    )
+
+
 def test_taint_registry_names_resolve() -> None:
     # A registry name that matches nothing in the tree is silently
-    # inert: a source that no longer exists taints nothing.
+    # inert: a source that no longer exists taints nothing, a boundary
+    # or patrolled module that was deleted exempts or checks nothing.
+    # So every name in every table must resolve in the live tree.
     graph = build_graph(build_context(REPO_ROOT))
-    stale = sorted(
-        name for name in registry.TAINT_SOURCES | registry.TAINT_SANITIZERS
-        if name not in graph.functions
-    ) + sorted(
-        name for name in registry.TAINT_SINKS
-        if name not in graph.classes and name not in graph.functions
+    entries = {
+        **registry.FAST_PATHS, **registry.EXECUTION_BACKENDS,
+        **registry.FAILOVER_PATHS,
+    }
+    names = {
+        *registry.FAIL_CLOSED_BOUNDARIES,
+        *registry.DETERMINISTIC_MODULES,
+        *registry.BUDGETED_MODULES,
+        *(f"repro.metaalgebra.budget:Budget.{charge}"
+          for charge in registry.BUDGET_CHARGES),
+        *registry.FAST_PATH_MODULES,
+        *entries, *(entry.oracle for entry in entries.values()),
+        *registry.BACKEND_EXEMPT,
+        *registry.BYPASS_IMPORTS,
+        *registry.TAINT_SOURCES, *registry.TAINT_SANITIZERS,
+        *registry.TAINT_SINKS,
+        *registry.GUARDED_FIELDS,
+        *(f"{owner}.{method}"
+          for owner, guarded in registry.GUARDED_FIELDS.items()
+          for method in guarded.held_methods),
+        *(edge.rsplit(".", 1)[0]
+          for pair in registry.LOCK_ORDER for edge in pair),
+    }
+    stale = sorted(name for name in names if not _resolves(graph, name))
+    stale += sorted(
+        entry.test for entry in entries.values()
+        if not (REPO_ROOT / entry.test).is_file()
+    )
+    stale += sorted(
+        f"{owner}.{attribute}"
+        for owner, guarded in registry.GUARDED_FIELDS.items()
+        for attribute in {guarded.lock, *guarded.fields}
+        if not _assigns(graph.classes[owner], attribute)
+    )
+    stale += sorted(
+        f"{prefix}*" for prefix in registry.IMMUTABLE_MODULE_PREFIXES
+        if not any(module.startswith(prefix) for module in graph.modules)
+    )
+    stale += sorted(
+        name for name in registry.IMMUTABLE_TYPES
+        if name not in graph.classes_by_name
     )
     assert stale == []
 

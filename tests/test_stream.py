@@ -25,6 +25,7 @@ from repro.algebra.types import INTEGER, STRING
 from repro.config import DEFAULT_CONFIG
 from repro.core.answer import DeliveryStats
 from repro.core.audit import AuditLog
+from repro.core.compiled_mask import compile_mask
 from repro.core.engine import AuthorizationEngine
 from repro.errors import BackendError, ParseError
 from repro.meta.catalog import PermissionCatalog
@@ -71,20 +72,19 @@ class TestParityWithAuthorize:
         assert drain(stream) == answer.delivered == (("bq-45", "Acme"),)
 
     def test_parity_without_compiled_masks(self):
-        # A mask that fails to compile streams through the interpreted
-        # Mask.apply fallback, chunk by chunk.
+        # A mask that fails to compile fails closed in both modes: the
+        # stream is denied exactly like the whole answer.
         engine = build_paper_engine()
-        reference = build_paper_engine().authorize(
-            "Brown", EXAMPLE_1_QUERY
-        )
         for chunk_size in (None, 1):
             with masks_never_compile() as compile_attempts:
+                answer = engine.authorize("Brown", EXAMPLE_1_QUERY)
                 stream = engine.authorize_stream(
                     "Brown", EXAMPLE_1_QUERY, chunk_size=chunk_size
                 )
-                assert drain(stream) == reference.delivered
+                assert drain(stream) == answer.delivered == ()
             assert compile_attempts.called
-            assert stream.error is None
+            assert stream.error == answer.error
+            assert "mask compilation unavailable" in stream.error
 
     def test_chunk_size_defaults_to_config(self):
         engine = build_paper_engine(
@@ -177,12 +177,10 @@ class TestFailClosed:
             raise BackendError("mid-stream loss")
 
         # Re-point the stream at an evaluation that dies after one
-        # chunk: the engine's generator must deliver the first chunk
-        # (masked here by the interpreted fallback, as no compiled
-        # mask is passed), then end the stream failed-closed instead
-        # of propagating.
+        # chunk: the engine's generator must deliver the first chunk,
+        # then end the stream failed-closed instead of propagating.
         stream._chunks = paper_engine._stream_chunks(
-            stream, broken(), None
+            stream, broken(), compile_mask(stream.mask)
         )
         chunks = list(stream)
         assert len(chunks) == 1
@@ -228,7 +226,7 @@ class TestFailover:
 
     def test_outcome_carries_primed_chunks(self):
         engine = build_paper_engine()
-        plan = engine._compile(
+        plan, _ = engine._plan(
             engine._parse_query(EXAMPLE_1_QUERY, "test")
         )
         outcome = engine.executor.execute_stream(plan, chunk_size=1)
@@ -277,12 +275,12 @@ class TestStreamAudit:
 
 
 #: What both modes run under in TestOnePipeline: nothing, a fault at
-#: establishment, or masks that never compile.
+#: establishment, or masks that never compile (both modes deny).
 CONDITIONS = {
     "plain": nullcontext,
     "evaluate fault": lambda: faults.inject(
         {"engine.evaluate": faults.Fault("raise")}),
-    "interpreted": masks_never_compile,
+    "compile fails": masks_never_compile,
 }
 
 
@@ -310,7 +308,7 @@ class TestOnePipeline:
                 assert getattr(stream, field) == getattr(answer, field), \
                     field
             # The tally matches the oracle count of what was delivered,
-            # on the kernel and on the interpreted fallback alike.
+            # on the kernel and on a denial alike.
             assert answer.stats() == DeliveryStats.of(
                 answer.delivered, answer.answer.arity)
         records = [replace(r, sequence=0) for r in whole.audit.records()]
